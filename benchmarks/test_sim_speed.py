@@ -1,25 +1,27 @@
-"""Simulator-core speed bench: calendar-queue fast loop vs heapq reference.
+"""Simulator-core speed bench: the calendar-queue loop vs the heapq oracle.
 
-The workload is the event-loop-bound regime the fast engine exists for:
+``Simulator`` is measured against ``tests/sim_oracle.py``'s
+``OracleSimulator``, the single-heapq loop it replaced. The workload is the
+event-loop-bound regime the calendar queue exists for:
 hundreds of generator processes each yielding a fixed resume period, so
 nearly every simulated instant dispatches a batch of homogeneous events
-and the wall clock measures pure engine overhead (no flash timelines, no
-kernel pricing). Both engines run the *same* schedule; the dispatch count
+and the wall clock measures pure loop overhead (no flash timelines, no
+kernel pricing). Both loops run the *same* schedule; the dispatch count
 and final clock must agree exactly (the differential and property suites
 prove the stronger bit-identical claim on the real campaigns).
 
-Emits ``BENCH_sim.json`` with the measured events/sec of both engines and
-gates the headline ratio: the fast engine must clear ``MIN_SPEEDUP``x the
-reference on the same machine, plus a conservative absolute floor so a
-fast-but-broken-build (e.g. silently falling back to reference) fails in
-CI rather than shipping.
+Emits ``BENCH_sim.json`` with the measured events/sec of both loops and
+gates the headline ratio: ``Simulator`` must clear ``MIN_SPEEDUP``x the
+oracle on the same machine, plus a conservative absolute floor so a
+collapse of the loop itself fails in CI rather than shipping.
 """
 
 import time
 
 from conftest import emit_bench, run_once
 
-from repro.sim import Simulator, use_engine
+from repro.sim import Simulator
+from tests.sim_oracle import OracleSimulator
 
 #: Generator processes resuming on short fixed periods (7 distinct phases,
 #: so instants carry batches of same-time events without being degenerate).
@@ -29,12 +31,12 @@ from repro.sim import Simulator, use_engine
 NUM_PROCS = 1000
 #: Dispatches measured per run; large enough to swamp setup cost.
 MAX_EVENTS = 300_000
-#: Best-of-N walls per engine — absorbs CI scheduler noise.
+#: Best-of-N walls per loop — absorbs CI scheduler noise.
 REPEATS = 5
 
-#: The tentpole gate: fast engine events/sec over reference events/sec.
+#: The headline gate: Simulator events/sec over oracle events/sec.
 MIN_SPEEDUP = 3.0
-#: Absolute floor for the fast engine (observed ~3.9M/s locally; CI boxes
+#: Absolute floor for Simulator (observed ~3.9M/s locally; CI boxes
 #: are slower and shared, so the floor only catches a collapse).
 MIN_FAST_EVENTS_PER_SEC = 300_000.0
 
@@ -47,33 +49,36 @@ def _procs():
     return [body(100 + 13 * (i % 7)) for i in range(NUM_PROCS)]
 
 
-def _run_one(engine):
+#: The two loops, under the names BENCH_sim.json reports them by.
+LOOPS = {"reference": OracleSimulator, "fast": Simulator}
+
+
+def _run_one(loop):
     """One timed run; returns (processed, now, wall seconds)."""
-    with use_engine(engine):
-        sim = Simulator()
-        for i, proc in enumerate(_procs()):
-            sim.spawn(proc, label=f"p{i}")
-        start = time.perf_counter()
-        sim.run(max_events=MAX_EVENTS)
-        wall = time.perf_counter() - start
+    sim = LOOPS[loop]()
+    for i, proc in enumerate(_procs()):
+        sim.spawn(proc, label=f"p{i}")
+    start = time.perf_counter()
+    sim.run(max_events=MAX_EVENTS)
+    wall = time.perf_counter() - start
     return sim.processed, sim.now, wall
 
 
 def _measure():
-    """Best-of-REPEATS for both engines, interleaved.
+    """Best-of-REPEATS for both loops, interleaved.
 
     Shared CI boxes throttle unpredictably mid-test; alternating the two
-    engines inside each repeat keeps a slow window from landing entirely
+    loops inside each repeat keeps a slow window from landing entirely
     on one side of the ratio.
     """
     outcomes = {}
     walls = {"reference": float("inf"), "fast": float("inf")}
     for _ in range(REPEATS):
-        for engine in ("reference", "fast"):
-            processed, now, wall = _run_one(engine)
-            # Every run, either engine, replays the identical schedule.
-            assert outcomes.setdefault(engine, (processed, now)) == (processed, now)
-            walls[engine] = min(walls[engine], wall)
+        for loop in ("reference", "fast"):
+            processed, now, wall = _run_one(loop)
+            # Every run, either loop, replays the identical schedule.
+            assert outcomes.setdefault(loop, (processed, now)) == (processed, now)
+            walls[loop] = min(walls[loop], wall)
     return outcomes, walls
 
 

@@ -71,8 +71,6 @@ def q2(db) -> Table:
     parts = db["part"].filter(lambda r: r["p_size"] == 15 and r["p_type"].endswith("BRASS"))
     ps = db["partsupp"].join(parts, "ps_partkey", "p_partkey")
     ps = ps.join(suppliers, "ps_suppkey", "s_suppkey")
-    if not len(ps):
-        return ps
     min_cost = ps.group_by(["ps_partkey"], {"min_cost": ("min", lambda r: r["ps_supplycost"])})
     joined = ps.join(min_cost, "ps_partkey", "ps_partkey").filter(
         lambda r: r["ps_supplycost"] == r["min_cost"]
@@ -290,9 +288,7 @@ def q15(db) -> Table:
     lo = date_to_day(1996, 1, 1)
     li = db["lineitem"].filter(lambda r: lo <= r["l_shipdate"] < lo + 90)
     revenue = li.group_by(["l_suppkey"], {"total_revenue": ("sum", _rev)})
-    if not len(revenue):
-        return revenue
-    top = max(revenue.column("total_revenue"))
+    top = max(revenue.column("total_revenue"), default=0.0)
     best = revenue.filter(lambda r: r["total_revenue"] == top)
     return best.join(
         db["supplier"].project(["s_suppkey", "s_name", "s_address", "s_phone"]),

@@ -12,15 +12,11 @@ Every kernel provides three synchronised implementations:
 """
 
 from repro.kernels.api import Kernel, STATE_SIZE_LIMIT
-from repro.kernels.pricing import KernelPricingCache, PRICING_CACHE, use_pricing_cache
 from repro.kernels.registry import KERNEL_NAMES, get_kernel
 
 __all__ = [
     "Kernel",
-    "KernelPricingCache",
-    "PRICING_CACHE",
     "STATE_SIZE_LIMIT",
     "KERNEL_NAMES",
     "get_kernel",
-    "use_pricing_cache",
 ]

@@ -37,6 +37,13 @@ from repro.mem.memory import FlatMemory
 STATE_SIZE_LIMIT = 64 * 1024
 
 
+def _hashable(value):
+    """Lists (AES round keys, NN weights) as tuples, recursively."""
+    if isinstance(value, (list, tuple)):
+        return tuple(_hashable(item) for item in value)
+    return value
+
+
 class Kernel(abc.ABC):
     """Base class for offloaded computational-storage functions."""
 
@@ -65,6 +72,22 @@ class Kernel(abc.ABC):
                 f"{self.name}: state of {self.state_bytes}B exceeds the "
                 f"{STATE_SIZE_LIMIT}B scratchpad budget"
             )
+
+    def pricing_key(self) -> tuple:
+        """Identity of this kernel's sampled run (:mod:`repro.kernels.pricing`).
+
+        The program and the generated inputs are functions of the class
+        and its constructor parameters, which kernels keep — with whatever
+        they derive from them — in public attributes.  The key is the
+        class plus every public instance attribute, so a parameter that
+        changes the program or the inputs must not live only in a private
+        one.
+        """
+        return (type(self),) + tuple(
+            (name, _hashable(value))
+            for name, value in vars(self).items()
+            if not name.startswith("_")
+        )
 
     # -- functional ground truth -------------------------------------------------
 

@@ -1,130 +1,29 @@
-"""Memoized cycles-per-byte pricing for stream kernels.
+"""The shared memo of sampled kernel runs behind cycles-per-byte pricing.
 
 ASSASIN's streaming kernels are size-linear by construction (DESIGN.md
 §2): the core phase prices a kernel by running it once over a
 representative window and extrapolating ``cycles_per_byte``.  That sampled
-run is a full functional ISA simulation — by far the most expensive single
-step of every campaign — and it is **deterministic** per
-``(device config, kernel, sample size)``: same config, same generated
-inputs, same cycle count.  So one sampled run can price every same-shape
-scomp in the process.
+run is a full functional ISA simulation — the most expensive single step
+of most campaigns — and it is a pure function of the device config, the
+engine's ``PipelineParams``, the kernel (its program and generated inputs)
+and the sample size.  :meth:`repro.ssd.device.ComputationalSSD.sample_kernel`
+therefore looks every sample up in :data:`SAMPLES` first and runs the
+engine only on a miss, so one run prices every same-shape scomp in the
+process: every device of a fleet, every policy arm of a comparison.
 
-:class:`KernelPricingCache` memoizes exactly that triple.  The key embeds
-a digest of the *full device config repr*, so any config change (a
-different core, cache geometry, flash timing…) misses the cache by
-construction — there is no stale-entry hazard to invalidate around, and
-:meth:`KernelPricingCache.clear` exists mainly for tests and long-lived
-sessions.  The cache is **off by default**; campaigns opt in through
-``SimConfig(memoize_pricing=True)`` (or :func:`use_pricing_cache`), and
-the differential suite proves cached and uncached campaigns byte-identical.
+The key is ``(config, pipeline_params, kernel.pricing_key(), sample_bytes)``.
+Configs and params are frozen dataclasses, so the key is by value: a
+changed field misses by construction and equal configs built separately
+share.  :meth:`repro.kernels.api.Kernel.pricing_key` is the kernel's class
+plus every public instance attribute, so constructor parameters that
+change the program or the inputs (``raid4 k``, ``psf select_fields``, the
+``aes`` key, ``filter`` shipdates, ``merge k``) are part of it.  Samples
+are shared objects and must be treated as immutable.
 """
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
-
-class KernelPricingCache:
-    """Process-wide memo of sampled kernel runs, keyed by config digest.
-
-    Entries map ``(config_digest, kernel_name, sample_bytes)`` to the
-    :class:`~repro.core.core.CoreRunResult` of the sampled run.  Cached
-    samples are shared objects and must be treated as immutable — the
-    same convention the fleet layer already uses when it samples once on
-    device 0 and shares the result across all devices.
-    """
-
-    def __init__(self) -> None:
-        self._entries: Dict[Tuple[str, str, int], object] = {}
-        self._digests: Dict[Tuple[object, object], str] = {}
-        self.enabled = False
-        self.hits = 0
-        self.misses = 0
-
-    # -- lifecycle ------------------------------------------------------------
-
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
-    def clear(self) -> None:
-        """Drop all entries and counters (the enabled flag is untouched)."""
-        self._entries.clear()
-        self._digests.clear()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    # -- keys -----------------------------------------------------------------
-
-    def config_digest(self, config, pipeline_params=None) -> str:
-        """Digest of the device config's full repr plus any pipeline params.
-
-        Frozen dataclass reprs are value-deterministic, so two configs
-        with equal fields share a digest and any changed field produces a
-        new one — config changes invalidate by construction.  The engine's
-        ``PipelineParams`` are folded in the same way: a predictor or
-        latency knob change must reprice, even though it lives outside the
-        device config.  A value-keyed memo (configs and params are frozen,
-        hashable dataclasses) avoids re-hashing on every lookup; the
-        former ``id()``-keyed memo could alias a recycled id of a dead
-        config to a stale digest.
-        """
-        key = (config, pipeline_params)
-        digest = self._digests.get(key)
-        if digest is None:
-            digest = hashlib.sha256(
-                f"{config!r}|{pipeline_params!r}".encode()
-            ).hexdigest()
-            self._digests[key] = digest
-        return digest
-
-    # -- the memo -------------------------------------------------------------
-
-    def get(self, config, kernel_name: str, sample_bytes: int, pipeline_params=None):
-        """The cached sample, or None on miss / when disabled."""
-        if not self.enabled:
-            return None
-        key = (self.config_digest(config, pipeline_params), kernel_name, sample_bytes)
-        sample = self._entries.get(key)
-        if sample is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return sample
-
-    def put(
-        self, config, kernel_name: str, sample_bytes: int, sample, pipeline_params=None
-    ) -> None:
-        if not self.enabled:
-            return
-        key = (self.config_digest(config, pipeline_params), kernel_name, sample_bytes)
-        self._entries[key] = sample
-
-
-#: The process-wide cache consulted by ``ComputationalSSD.sample_kernel``.
-PRICING_CACHE = KernelPricingCache()
-
-
-@contextlib.contextmanager
-def use_pricing_cache(clear: bool = True):
-    """Context manager: enable the pricing memo for a block.
-
-    Restores the previous enabled state on exit; with ``clear`` (the
-    default) the entries are dropped too, so tests never leak samples
-    across blocks.
-    """
-    previous = PRICING_CACHE.enabled
-    PRICING_CACHE.enable()
-    try:
-        yield PRICING_CACHE
-    finally:
-        PRICING_CACHE.enabled = previous
-        if clear:
-            PRICING_CACHE.clear()
+#: Sampled runs by pricing key; see the module docstring for the key.
+SAMPLES: Dict[tuple, object] = {}

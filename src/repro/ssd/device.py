@@ -27,7 +27,7 @@ from repro.core.udp import UDPLaneModel
 from repro.errors import DeviceError
 from repro.flash.array import FlashArray
 from repro.ftl.mapping import PageMapFTL
-from repro.kernels.pricing import PRICING_CACHE
+from repro.kernels.pricing import SAMPLES
 from repro.ssd.crossbar import Crossbar
 from repro.ssd.dram_buffer import DRAMBuffer
 from repro.ssd.firmware import Firmware, OffloadResult
@@ -141,19 +141,17 @@ class ComputationalSSD:
     def sample_kernel(self, kernel, sample_bytes: Optional[int] = None) -> CoreRunResult:
         """Core phase: run the kernel on a representative window.
 
-        The sampled run is deterministic per (config, kernel, size), so
-        when the process-wide :data:`~repro.kernels.pricing.PRICING_CACHE`
-        is enabled (``SimConfig(memoize_pricing=True)``) one run prices
-        every same-shape scomp; a config change misses by construction.
+        The sampled run is a pure function of (config, engine pipeline
+        params, kernel and its parameters, size), so it is looked up in
+        :data:`repro.kernels.pricing.SAMPLES` first and the engine runs
+        only on a miss.
         """
         size = sample_bytes or _SAMPLE_BYTES_BY_KERNEL.get(kernel.name, DEFAULT_SAMPLE_BYTES)
         params = getattr(self.engine, "pipeline_params", None)
-        cached = PRICING_CACHE.get(self.config, kernel.name, size, pipeline_params=params)
-        if cached is not None:
-            return cached
-        inputs = kernel.make_inputs(size)
-        sample = self.engine.run(kernel, inputs)
-        PRICING_CACHE.put(self.config, kernel.name, size, sample, pipeline_params=params)
+        key = (self.config, params, kernel.pricing_key(), size)
+        sample = SAMPLES.get(key)
+        if sample is None:
+            sample = SAMPLES[key] = self.engine.run(kernel, kernel.make_inputs(size))
         return sample
 
     def offload(

@@ -1,136 +1,125 @@
-"""Unit tests for the memoized kernel-pricing cache (`repro.kernels.pricing`).
+"""Unit tests for the kernel-pricing memo (`repro.kernels.pricing`).
 
-The campaign-level proof that memoized pricing changes nothing observable
-lives in test_sim_differential.py; these tests pin the cache mechanics —
-off by default, hit/miss accounting, config-digest invalidation, and the
-scoping context managers.
+``ComputationalSSD.sample_kernel`` looks every sampled run up in
+``SAMPLES`` and runs the engine only on a miss.  These tests pin the key:
+config and pipeline params by value, the sample size, and the kernel with
+every parameter that changes its program or inputs.  The campaign-level
+proof that memoized pricing changes nothing observable lives in
+test_sim_differential.py.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.config import SimConfig, assasin_sb_config
+from repro.config import assasin_sb_config
+from repro.core.core import CoreModel
+from repro.core.pipeline import PipelineParams
 from repro.kernels import get_kernel
-from repro.kernels.pricing import (
-    PRICING_CACHE,
-    KernelPricingCache,
-    use_pricing_cache,
-)
+from repro.kernels.pricing import SAMPLES
 from repro.ssd.device import ComputationalSSD
 
 
-@pytest.fixture(autouse=True)
-def _pristine_cache():
-    """Tests must never leak enabled state or entries into the suite."""
-    PRICING_CACHE.disable()
-    PRICING_CACHE.clear()
-    yield
-    PRICING_CACHE.disable()
-    PRICING_CACHE.clear()
+@pytest.fixture
+def engine_runs(monkeypatch):
+    """Names of the kernels the engine actually ran, on an empty memo."""
+    runs = []
+    original = CoreModel.run
+
+    def counted(self, kernel, inputs):
+        runs.append(kernel.name)
+        return original(self, kernel, inputs)
+
+    monkeypatch.setattr(CoreModel, "run", counted)
+    SAMPLES.clear()
+    yield runs
+    SAMPLES.clear()
 
 
-def test_cache_is_off_by_default():
-    cache = KernelPricingCache()
-    assert not cache.enabled
+def test_sample_kernel_hits_after_one_miss(engine_runs):
     config = assasin_sb_config()
-    cache.put(config, "stat", 4096, object())
-    assert len(cache) == 0
-    assert cache.get(config, "stat", 4096) is None
-    assert cache.hits == 0 and cache.misses == 0
+    first = ComputationalSSD(config).sample_kernel(get_kernel("stat"))
+    assert engine_runs == ["stat"] and len(SAMPLES) == 1
+    second = ComputationalSSD(config).sample_kernel(get_kernel("stat"))
+    assert engine_runs == ["stat"]
+    # The memo shares the sampled run object itself.
+    assert second is first
 
 
-def test_sample_kernel_hits_after_one_miss():
-    config = assasin_sb_config()
-    with use_pricing_cache() as cache:
-        first = ComputationalSSD(config).sample_kernel(get_kernel("stat"))
-        assert cache.misses == 1 and cache.hits == 0 and len(cache) == 1
-        second = ComputationalSSD(config).sample_kernel(get_kernel("stat"))
-        assert cache.misses == 1 and cache.hits == 1
-        # The memo shares the sampled run object itself.
-        assert second is first
+def test_distinct_kernels_and_sizes_are_distinct_entries(engine_runs):
+    device = ComputationalSSD(assasin_sb_config())
+    device.sample_kernel(get_kernel("stat"))
+    device.sample_kernel(get_kernel("scan"))
+    device.sample_kernel(get_kernel("stat"), sample_bytes=8192)
+    assert engine_runs == ["stat", "scan", "stat"] and len(SAMPLES) == 3
 
 
-def test_distinct_kernels_and_sizes_are_distinct_entries():
-    config = assasin_sb_config()
-    with use_pricing_cache() as cache:
-        device = ComputationalSSD(config)
-        device.sample_kernel(get_kernel("stat"))
-        device.sample_kernel(get_kernel("scan"))
-        device.sample_kernel(get_kernel("stat"), sample_bytes=8192)
-        assert cache.misses == 3 and cache.hits == 0 and len(cache) == 3
-
-
-def test_config_change_invalidates_by_construction():
+def test_config_change_invalidates_by_construction(engine_runs):
     base = assasin_sb_config()
     changed = dataclasses.replace(base, name=base.name + "-variant")
-    cache = KernelPricingCache()
-    cache.enable()
-    assert cache.config_digest(base) != cache.config_digest(changed)
-    # Equal-valued configs share a digest even as distinct objects.
-    assert cache.config_digest(base) == cache.config_digest(assasin_sb_config())
-    cache.put(base, "stat", 4096, "sample-a")
-    assert cache.get(changed, "stat", 4096) is None
-    assert cache.get(base, "stat", 4096) == "sample-a"
+    ComputationalSSD(base).sample_kernel(get_kernel("stat"))
+    ComputationalSSD(changed).sample_kernel(get_kernel("stat"))
+    assert engine_runs == ["stat", "stat"]
+    # Equal-valued configs share an entry even as distinct objects.
+    ComputationalSSD(assasin_sb_config()).sample_kernel(get_kernel("stat"))
+    assert engine_runs == ["stat", "stat"]
 
 
-def test_pipeline_model_and_params_change_the_digest():
+def test_pipeline_model_and_params_change_the_key(engine_runs):
     """Timing-model knobs live outside the kernel's architectural inputs but
-    change its cycle price, so they must be part of the cache key."""
-    from repro.core.pipeline import PipelineParams
-
+    change its cycle price, so they must be part of the key."""
     base = assasin_sb_config()
-    predictive = base.with_pipeline_model("predictive")
-    cache = KernelPricingCache()
-    cache.enable()
-    assert cache.config_digest(base) != cache.config_digest(predictive)
-    default = PipelineParams()
-    tweaked = PipelineParams(mispredict_penalty=5)
-    assert (cache.config_digest(base, default)
-            != cache.config_digest(base, tweaked))
-    assert (cache.config_digest(base, default)
-            == cache.config_digest(base, PipelineParams()))
-    cache.put(base, "stat", 4096, "static-sample", pipeline_params=default)
-    assert cache.get(predictive, "stat", 4096, pipeline_params=default) is None
-    assert cache.get(base, "stat", 4096, pipeline_params=tweaked) is None
-    assert cache.get(base, "stat", 4096, pipeline_params=default) == "static-sample"
+    ComputationalSSD(base).sample_kernel(get_kernel("stat"))
+    ComputationalSSD(base.with_pipeline_model("predictive")).sample_kernel(get_kernel("stat"))
+    assert len(engine_runs) == 2
+    tweaked = ComputationalSSD(base)
+    tweaked.engine = CoreModel(base.core, pipeline_params=PipelineParams(mispredict_penalty=5))
+    tweaked.sample_kernel(get_kernel("stat"))
+    assert len(engine_runs) == 3
+    default = ComputationalSSD(base)
+    default.engine = CoreModel(base.core, pipeline_params=PipelineParams())
+    default.sample_kernel(get_kernel("stat"))
+    assert len(engine_runs) == 3
 
 
-def test_digest_memo_is_value_keyed_not_id_keyed():
-    """Regression: the digest memo was once keyed by ``id(config)``.  A dead
-    config's recycled id could then alias a *different* config to a stale
-    digest.  Value-keying makes equal configs share and unequal configs
-    miss, regardless of object identity or lifetime."""
-    cache = KernelPricingCache()
-    cache.enable()
-    digests = set()
-    for i in range(50):
+def test_memo_is_value_keyed_not_id_keyed(engine_runs):
+    """Regression: an ``id(config)``-keyed memo could alias a dead config's
+    recycled id to a *different* config's entry.  Value keys make equal
+    configs share and unequal configs miss, regardless of object identity
+    or lifetime."""
+    for i in range(5):
         # Fresh throwaway objects each round: with id-keying these recycle
         # CPython ids almost immediately.
         variant = dataclasses.replace(assasin_sb_config(), name=f"v{i}")
-        digests.add(cache.config_digest(variant))
+        ComputationalSSD(variant).sample_kernel(get_kernel("stat"), sample_bytes=4096)
         del variant
-    assert len(digests) == 50
-    # Equal-valued but distinct objects share one memo entry and digest.
-    a, b = assasin_sb_config(), assasin_sb_config()
-    assert a is not b
-    assert cache.config_digest(a) == cache.config_digest(b)
+    assert len(engine_runs) == 5
 
 
-def test_use_pricing_cache_restores_and_clears():
-    assert not PRICING_CACHE.enabled
-    with use_pricing_cache():
-        assert PRICING_CACHE.enabled
-        PRICING_CACHE.put(assasin_sb_config(), "stat", 4096, "sample")
-        assert len(PRICING_CACHE) == 1
-    assert not PRICING_CACHE.enabled
-    assert len(PRICING_CACHE) == 0
+KERNEL_VARIANTS = {
+    "raid4 k": ({"k": 2}, {"k": 6}),
+    "aes key": ({"key": bytes(range(16))}, {"key": bytes(range(16, 32))}),
+    "psf select_fields": ({"select_fields": (0, 1, 3)}, {"select_fields": (2,)}),
+}
 
 
-def test_sim_config_activated_scopes_the_cache():
-    with SimConfig(memoize_pricing=True).activated():
-        assert PRICING_CACHE.enabled
-    assert not PRICING_CACHE.enabled
-    # And the flag itself defaults to off.
-    with SimConfig().activated():
-        assert not PRICING_CACHE.enabled
+@pytest.mark.parametrize("case", sorted(KERNEL_VARIANTS))
+def test_kernel_parameters_are_part_of_the_key(engine_runs, case):
+    """Two instances of one kernel that differ in a constructor parameter
+    each price like an unmemoized run; a same-parameter instance shares the
+    first one's engine run."""
+    name = case.split()[0]
+    device = ComputationalSSD(assasin_sb_config())
+    for params in KERNEL_VARIANTS[case]:
+        kernel = get_kernel(name, **params)
+        memoized = device.sample_kernel(kernel, sample_bytes=4096)
+        direct = device.engine.run(kernel, kernel.make_inputs(4096))
+        assert memoized.cycles == direct.cycles
+        assert memoized.bytes_out == direct.bytes_out
+        assert memoized.outputs == direct.outputs
+    # Two memo misses plus the two direct runs.
+    assert len(engine_runs) == 4
+    again = get_kernel(name, **KERNEL_VARIANTS[case][0])
+    device.sample_kernel(again, sample_bytes=4096)
+    ComputationalSSD(assasin_sb_config()).sample_kernel(again, sample_bytes=4096)
+    assert len(engine_runs) == 4

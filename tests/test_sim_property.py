@@ -1,11 +1,11 @@
-"""Property tests: the fast engine equals the heapq reference on *random*
-schedules, not just the ones the campaigns happen to issue.
+"""Property tests: ``Simulator`` equals the heapq oracle (``tests/sim_oracle.py``)
+on *random* schedules, not just the ones the campaigns happen to issue.
 
 Hypothesis generates adversarial mixes of the whole scheduling surface —
 callback events at mixed priorities (including negative), events whose
 actions schedule more events at the current instant (the active-bucket
 append path), cancellations, and generator processes yielding int/float
-delays and ``wait_until`` instants — and asserts both engines produce the
+delays and ``wait_until`` instants — and asserts both loops produce the
 identical dispatch sequence and final ``(now, processed)``.  A second
 property replays the same schedules through ``run(max_events=...)`` slices
 to pin the budgeted re-shelving path, and a third through ``run(until_ns=...)``
@@ -18,7 +18,11 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.sim import Simulator, use_engine  # noqa: E402
+from repro.sim import Simulator  # noqa: E402
+from tests.sim_oracle import OracleSimulator  # noqa: E402
+
+#: The loop under test and its oracle, by the names the assertions use.
+LOOPS = {"reference": OracleSimulator, "fast": Simulator}
 
 #: One wait a process generator yields: a delay (int, or a float that
 #: exercises as_ns rounding) or an absolute wait_until instant (which may
@@ -103,13 +107,12 @@ def _build(sim, plan, log):
     return handles
 
 
-def _run_plan(engine, plan, run):
-    with use_engine(engine):
-        sim = Simulator()
-        log = []
-        _build(sim, plan, log)
-        run(sim)
-        return log, sim.now, sim.processed
+def _run_plan(loop, plan, run):
+    sim = LOOPS[loop]()
+    log = []
+    _build(sim, plan, log)
+    run(sim)
+    return log, sim.now, sim.processed
 
 
 @settings(max_examples=80, deadline=None)
@@ -128,7 +131,7 @@ def test_budgeted_slices_dispatch_identically(plan, budget):
 
     def run_sliced(sim):
         # Drain on peek_time(), not len(): cancellation is lazy, and the
-        # engines are free to *reap* cancelled entries at different times
+        # loops are free to *reap* cancelled entries at different times
         # (len counts unreaped ones) — but both must always agree on
         # whether anything live remains and on every dispatch they make.
         checkpoints = []
@@ -139,18 +142,16 @@ def test_budgeted_slices_dispatch_identically(plan, budget):
                 raise AssertionError("schedule did not drain")
         return checkpoints
 
-    with use_engine("reference"):
-        sim = Simulator()
-        ref_log = []
-        _build(sim, plan, ref_log)
-        ref_checkpoints = run_sliced(sim)
-        ref_state = (sim.now, sim.processed)
-    with use_engine("fast"):
-        sim = Simulator()
-        fast_log = []
-        _build(sim, plan, fast_log)
-        fast_checkpoints = run_sliced(sim)
-        fast_state = (sim.now, sim.processed)
+    sim = OracleSimulator()
+    ref_log = []
+    _build(sim, plan, ref_log)
+    ref_checkpoints = run_sliced(sim)
+    ref_state = (sim.now, sim.processed)
+    sim = Simulator()
+    fast_log = []
+    _build(sim, plan, fast_log)
+    fast_checkpoints = run_sliced(sim)
+    fast_state = (sim.now, sim.processed)
     assert fast_log == ref_log
     assert fast_checkpoints == ref_checkpoints
     assert fast_state == ref_state
