@@ -11,7 +11,8 @@ maximise parallelism (what lets Figure 18 show balanced channels). The
 
 from __future__ import annotations
 
-from typing import List
+from collections import deque
+from typing import Deque, Dict, List
 
 from repro.config import FlashConfig
 from repro.errors import FTLError
@@ -66,10 +67,13 @@ class PageAllocator:
 
     def _pick_channel(self) -> int:
         """Weighted round-robin by share (largest accumulated deficit wins)."""
-        for ch in range(self.config.channels):
-            self._deficit[ch] += self.shares[ch]
-        best = max(range(self.config.channels), key=lambda ch: (self._deficit[ch], -ch))
-        self._deficit[best] -= 1.0
+        deficit = self._deficit
+        best = 0
+        for ch, share in enumerate(self.shares):
+            deficit[ch] += share
+            if deficit[ch] > deficit[best]:  # ties keep the lowest channel
+                best = ch
+        deficit[best] -= 1.0
         return best
 
     def allocate(self) -> PhysicalPageAddress:
@@ -155,7 +159,18 @@ class _ChannelCursor:
 
 
 class _UnitCursor:
-    """Write point within one (chip, die, plane)."""
+    """Write point within one (chip, die, plane).
+
+    Blocks never opened yet are taken in index order, before any returned
+    block; ``_fresh`` is the next of them. Blocks the GC returns sit in
+    erase-count buckets, each a deque in return order (newest at the
+    left), and the least-worn is the rightmost of the lowest bucket. Picking
+    is O(1) and opens the same block a scan of one free list (returns
+    inserted at its front, picks by least ``(erase_count, -position)``)
+    would, provided a block's erase count never changes while it is free.
+    Counts only grow, so checking the picked block alone catches any
+    breach of that.
+    """
 
     def __init__(
         self, config: FlashConfig, channel: int, chip: int, die: int, plane: int, wear=None
@@ -166,29 +181,43 @@ class _UnitCursor:
         self.die = die
         self.plane = plane
         self.wear = wear
-        self._free_blocks = list(range(config.blocks_per_plane - 1, -1, -1))
+        self._fresh = 0
+        self._buckets: Dict[int, Deque[int]] = {}
         self._retired: set = set()
         self._current_block: int = -1
         self._next_page = config.pages_per_block  # forces opening a block
 
+    def _erase_count(self, block: int) -> int:
+        if self.wear is None:
+            return 0
+        return self.wear.erase_count((self.channel, self.chip, self.die, self.plane, block))
+
+    def _skip_retired(self) -> None:
+        while self._fresh < self.config.blocks_per_plane and self._fresh in self._retired:
+            self._fresh += 1
+
     def _pick_block(self) -> int:
         """Open the least-worn free block (wear leveling)."""
-        if self.wear is None:
-            return self._free_blocks.pop()
-        best_index = min(
-            range(len(self._free_blocks)),
-            key=lambda i: (
-                self.wear.erase_count(
-                    (self.channel, self.chip, self.die, self.plane, self._free_blocks[i])
-                ),
-                -i,  # prefer the natural pop order among equals
-            ),
-        )
-        return self._free_blocks.pop(best_index)
+        if self._fresh < self.config.blocks_per_plane:
+            block, count = self._fresh, 0
+            self._fresh += 1
+            self._skip_retired()
+        else:
+            count = min(self._buckets)
+            bucket = self._buckets[count]
+            block = bucket.pop()
+            if not bucket:
+                del self._buckets[count]
+        erased = self._erase_count(block)
+        if erased != count:
+            raise FTLError(
+                f"block {block} was erased while free (erase count {erased}, pooled at {count})"
+            )
+        return block
 
     def next_page(self):
         if self._next_page >= self.config.pages_per_block:
-            if not self._free_blocks:
+            if self._fresh >= self.config.blocks_per_plane and not self._buckets:
                 return None
             self._current_block = self._pick_block()
             self._next_page = 0
@@ -203,12 +232,17 @@ class _UnitCursor:
             raise FTLError("cannot release the open write block")
         if block in self._retired:
             return  # grown bad blocks never rejoin the pool
-        self._free_blocks.insert(0, block)
+        self._buckets.setdefault(self._erase_count(block), deque()).appendleft(block)
 
     def retire_block(self, block: int) -> None:
         self._retired.add(block)
-        if block in self._free_blocks:
-            self._free_blocks.remove(block)
+        self._skip_retired()
+        count = self._erase_count(block)
+        bucket = self._buckets.get(count)
+        if bucket is not None and block in bucket:
+            bucket.remove(block)
+            if not bucket:
+                del self._buckets[count]
         if block == self._current_block:
             # Close the write point; the next allocation opens a fresh block.
             self._current_block = -1

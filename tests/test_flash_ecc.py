@@ -202,3 +202,81 @@ def test_seeded_random_page_roundtrip(raw, seed):
     corrupted = inject_bit_errors(page, 1, seed=seed)
     decoded, status, n = decode_page(corrupted, spare)
     assert decoded == page and status is ECCStatus.CORRECTED and n == 1
+
+
+# -- page encoder/decoder vs the per-word reference ---------------------------
+
+
+def _words(page):
+    return [int.from_bytes(page[i : i + 8], "little") for i in range(0, len(page), 8)]
+
+
+def _encode_page_per_word(page):
+    return bytes(encode_word(word) for word in _words(page))
+
+
+def _decode_page_per_word(page, spare):
+    """Reference decoder: every codeword through :func:`decode_word`."""
+    out = bytearray()
+    worst = ECCStatus.CLEAN
+    corrections = 0
+    for word, ecc in zip(_words(page), spare):
+        result = decode_word(word, ecc)
+        out += result.word.to_bytes(8, "little")
+        if result.status is ECCStatus.CORRECTED:
+            corrections += 1
+            if worst is ECCStatus.CLEAN:
+                worst = ECCStatus.CORRECTED
+        elif result.status is ECCStatus.UNCORRECTABLE:
+            worst = ECCStatus.UNCORRECTABLE
+    return bytes(out), worst, corrections
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=512).flatmap(
+        lambda words: st.binary(min_size=8 * words, max_size=8 * words)
+    )
+)
+def test_encode_page_matches_per_word_encoder(page):
+    assert encode_page(page) == _encode_page_per_word(page)
+
+
+@pytest.mark.parametrize("words", [0, 1, 2, 7, 64, 512])
+def test_encode_page_matches_per_word_on_extreme_pages(words):
+    size = 8 * words
+    for page in (bytes(size), b"\xff" * size):
+        assert encode_page(page) == _encode_page_per_word(page)
+    for bit in range(0, size * 8, max(1, size * 8 // 97)):
+        page = bytearray(size)
+        page[bit // 8] = 1 << (bit % 8)
+        assert encode_page(bytes(page)) == _encode_page_per_word(bytes(page))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=64).flatmap(
+        lambda words: st.tuples(
+            st.binary(min_size=8 * words, max_size=8 * words),
+            st.lists(
+                st.lists(st.integers(min_value=0, max_value=71), max_size=3),
+                min_size=words,
+                max_size=words,
+            ),
+        )
+    )
+)
+def test_decode_page_matches_per_word_decoder(page_and_flips):
+    """0-3 flips per codeword, anywhere in its 64 data or 8 spare bits."""
+    page, flips = page_and_flips
+    data = bytearray(page)
+    spare = bytearray(encode_page(page))
+    for word, bits in enumerate(flips):
+        for bit in bits:
+            if bit < 64:
+                data[8 * word + bit // 8] ^= 1 << (bit % 8)
+            else:
+                spare[word] ^= 1 << (bit - 64)
+    assert decode_page(bytes(data), bytes(spare)) == _decode_page_per_word(
+        bytes(data), bytes(spare)
+    )

@@ -1,15 +1,16 @@
 """Tests for the FTL: allocation policy, mapping, skew, wear, GC."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import FlashConfig
 from repro.errors import FTLError
-from repro.flash.array import FlashArray
+from repro.flash.array import FlashArray, PhysicalPageAddress
 from repro.ftl.allocator import PageAllocator, measured_skew, skew_shares
 from repro.ftl.gc import GarbageCollector
 from repro.ftl.mapping import PageMapFTL
+from repro.ftl.wear import WearTracker
 
 CFG = FlashConfig(
     channels=4,
@@ -199,3 +200,172 @@ def test_allocator_without_wear_tracker_still_works():
     alloc = PageAllocator(CFG, skew=0.0, wear=None)
     pages = [alloc.allocate() for _ in range(32)]
     assert len(set(pages)) == 32
+
+
+# -- wear-levelled block picking vs the min-scan oracle ------------------------
+
+
+class _MinScanUnit:
+    """Reference write point: a flat free list scanned for the least-worn
+    block, ties broken toward the natural pop order."""
+
+    def __init__(self, config, channel, chip, die, plane, wear):
+        self.config = config
+        self.channel = channel
+        self.chip = chip
+        self.die = die
+        self.plane = plane
+        self.wear = wear
+        self._free_blocks = list(range(config.blocks_per_plane - 1, -1, -1))
+        self._retired = set()
+        self._current_block = -1
+        self._next_page = config.pages_per_block
+
+    def _pick_block(self):
+        best_index = min(
+            range(len(self._free_blocks)),
+            key=lambda i: (
+                self.wear.erase_count(
+                    (self.channel, self.chip, self.die, self.plane, self._free_blocks[i])
+                ),
+                -i,
+            ),
+        )
+        return self._free_blocks.pop(best_index)
+
+    def next_page(self):
+        if self._next_page >= self.config.pages_per_block:
+            if not self._free_blocks:
+                return None
+            self._current_block = self._pick_block()
+            self._next_page = 0
+        ppa = PhysicalPageAddress(
+            self.channel, self.chip, self.die, self.plane, self._current_block, self._next_page
+        )
+        self._next_page += 1
+        return ppa
+
+    def release_block(self, block):
+        if block == self._current_block:
+            raise FTLError("cannot release the open write block")
+        if block in self._retired:
+            return
+        self._free_blocks.insert(0, block)
+
+    def retire_block(self, block):
+        self._retired.add(block)
+        if block in self._free_blocks:
+            self._free_blocks.remove(block)
+        if block == self._current_block:
+            self._current_block = -1
+            self._next_page = self.config.pages_per_block
+
+
+class _MinScanAllocator(PageAllocator):
+    """Reference allocator: ``max`` over the channel deficits and a
+    min-scan over each write point's free list."""
+
+    def __init__(self, config, skew, wear):
+        super().__init__(config, skew=skew, wear=wear)
+        for cursor in self._cursors:
+            cursor._units = [
+                _MinScanUnit(config, u.channel, u.chip, u.die, u.plane, wear)
+                for u in cursor._units
+            ]
+
+    def _pick_channel(self):
+        for ch in range(self.config.channels):
+            self._deficit[ch] += self.shares[ch]
+        best = max(range(self.config.channels), key=lambda ch: (self._deficit[ch], -ch))
+        self._deficit[best] -= 1.0
+        return best
+
+
+SMALL = FlashConfig(
+    channels=2,
+    chips_per_channel=1,
+    dies_per_chip=1,
+    planes_per_die=1,
+    blocks_per_plane=4,
+    pages_per_block=1,
+)
+
+
+def _attempt(action):
+    try:
+        return action()
+    except FTLError as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([0.0, 0.4, 1.0]),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["allocate"] * 3 + ["gc"] * 2 + ["retire"]),
+            st.integers(min_value=0, max_value=1000),
+        ),
+        min_size=10,
+        max_size=150,
+    ),
+)
+@example(1.0, [("allocate", 0)] * 4 + [("gc", 0)] * 2 + [("allocate", 0)] * 2)
+def test_block_picker_matches_min_scan_oracle(skew, ops):
+    """Random allocate / GC-erase + free / retire sequences pick identical
+    pages under the erase-count buckets and under the min-scan oracle."""
+    wears = (WearTracker(), WearTracker())
+    allocs = (
+        PageAllocator(SMALL, skew=skew, wear=wears[0]),
+        _MinScanAllocator(SMALL, skew, wears[1]),
+    )
+    in_use = set()
+    blocks = [
+        (ch, chip, 0, 0, block)
+        for ch in range(SMALL.channels)
+        for chip in range(SMALL.chips_per_channel)
+        for block in range(SMALL.blocks_per_plane)
+    ]
+    for op, pick in ops:
+        if op == "allocate":
+            got, want = (_attempt(alloc.allocate) for alloc in allocs)
+            assert got == want
+            if isinstance(got, PhysicalPageAddress):
+                in_use.add((got.channel, got.chip, got.die, got.plane, got.block))
+        elif op == "gc":
+            assert allocs[0].open_blocks() == allocs[1].open_blocks()
+            victims = sorted(in_use - allocs[0].open_blocks())
+            if not victims:
+                continue
+            victim = victims[pick % len(victims)]
+            freed = []
+            for alloc, wear in zip(allocs, wears):
+                wear.record_erase(victim)  # GC erases before freeing
+                freed.append(_attempt(lambda: alloc.free_block(PhysicalPageAddress(*victim, 0))))
+            assert freed[0] == freed[1]
+            if freed[0] is None:
+                in_use.discard(victim)
+        else:
+            victim = blocks[pick % len(blocks)]
+            got, want = (alloc.retire_block(PhysicalPageAddress(*victim, 0)) for alloc in allocs)
+            assert got == want
+    assert allocs[0].allocated == allocs[1].allocated
+
+
+def test_block_erased_while_free_is_refused():
+    config = FlashConfig(
+        channels=1,
+        chips_per_channel=1,
+        dies_per_chip=1,
+        planes_per_die=1,
+        blocks_per_plane=4,
+        pages_per_block=1,
+    )
+    wear = WearTracker()
+    alloc = PageAllocator(config, wear=wear)
+    assert alloc.allocate().block == 0
+    # Block 1 is next in the pool; wearing it while free breaks the
+    # bucket invariant, which the pick must refuse rather than ignore.
+    wear.record_erase((0, 0, 0, 0, 1))
+    with pytest.raises(FTLError, match="erased while free"):
+        alloc.allocate()
