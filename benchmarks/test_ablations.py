@@ -17,7 +17,7 @@ from repro.config import PrefetcherKind, assasin_sb_config, prefetch_core
 from repro.core.core import CoreModel
 from repro.experiments.fig19 import channel_local_config
 from repro.kernels import get_kernel
-from repro.ssd.device import ComputationalSSD, simulate_offload
+from repro.ssd.device import simulate_offload
 from repro.ssd import firmware as fw
 
 DATA = 16 << 20
@@ -63,9 +63,8 @@ def test_ablation_crossbar_free_at_even_layout(benchmark):
 
     def run_pair():
         kernel = get_kernel("scan")
-        sample = ComputationalSSD(assasin_sb_config()).sample_kernel(kernel)
-        xbar = simulate_offload(assasin_sb_config(), kernel, DATA, sample=sample)
-        local = simulate_offload(channel_local_config(), kernel, DATA, sample=sample)
+        xbar = simulate_offload(assasin_sb_config(), kernel, DATA)
+        local = simulate_offload(channel_local_config(), kernel, DATA)
         return xbar.throughput_gbps, local.throughput_gbps
 
     xbar, local = run_once(benchmark, run_pair)

@@ -143,9 +143,10 @@ class StaticCostSource(CostSource):
 
         The sampling goes through ``device.sample_kernel``, whose pricing
         memo (:data:`repro.kernels.pricing.SAMPLES`) makes repeated
-        calibrations of same-config devices — every device of a fleet,
-        every policy arm of a comparison — price from one sampled run per
-        kernel; a changed device config misses the memo and re-samples.
+        calibrations of devices with one core config — every device of a
+        fleet, every policy arm of a comparison — price from one sampled
+        run per kernel; a changed core config misses the memo and
+        re-samples.
         """
         from repro.kernels import get_kernel
 

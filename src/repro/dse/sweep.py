@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import (
@@ -167,8 +167,13 @@ def point_core(geometry: str, pipeline_model: str) -> CoreConfig:
 def point_config(
     geometry: str, num_cores: int, pipeline_model: str, label: str
 ) -> SSDConfig:
-    """The full (unadjusted) device config of one design point."""
-    core = replace(point_core(geometry, pipeline_model), name=label)
+    """The full (unadjusted) device config of one design point.
+
+    The device carries the point label; the core keeps its geometry name,
+    so points that differ only in core count or arbitration share one
+    sampled kernel run through the pricing memo.
+    """
+    core = point_core(geometry, pipeline_model)
     return SSDConfig(name=label, core=core, num_cores=num_cores)
 
 
@@ -205,9 +210,12 @@ def evaluate_point(
     for kernel_name in spec.kernels:
         kernel = get_kernel(kernel_name)
         device = ComputationalSSD(config)
-        inputs = kernel.make_inputs(spec.sample_bytes, seed=spec.seed)
-        sample = device.engine.run(kernel, inputs)
-        result = device.offload(kernel, spec.data_bytes, sample=sample)
+        sample = device.sample_kernel(kernel, spec.sample_bytes, seed=spec.seed)
+        # The seeded sample goes straight to the flash phase: ``offload``
+        # would re-price at the default seed, and its host-link hop does
+        # not change the offload throughput priced here.
+        lpas = device.mount_dataset(spec.data_bytes)
+        result = device.firmware.run_offload(kernel, sample, lpas)
         point.throughput_gbps[kernel_name] = result.throughput_gbps
         point.instructions += sample.instructions
         point.sample_cycles += sample.cycles

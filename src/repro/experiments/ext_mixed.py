@@ -39,13 +39,12 @@ def run(data_bytes: int = DATA_BYTES, rates=HOST_READ_RATES_GBPS) -> MixedIOResu
     results: Dict[float, Tuple[float, float, float]] = {}
     for rate in rates:
         device = ComputationalSSD(assasin_sb_config())
-        sample = device.sample_kernel(kernel)
         background = None
         if rate > 0:
             interval = PAGE / rate  # ns between host page reads
             # The host re-reads a window of the mounted dataset.
             background = BackgroundIO(lpas=list(range(0, 2048, 7)), interval_ns=interval)
-        result = device.offload(kernel, data_bytes, sample=sample, background=background)
+        result = device.offload(kernel, data_bytes, background=background)
         if background is not None and background.latencies_ns:
             mean_us = background.mean_latency_ns / 1e3
             p99_us = background.p99_latency_ns / 1e3

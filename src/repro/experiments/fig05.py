@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.config import baseline_core
-from repro.core.core import CoreModel
+from repro.config import baseline_config
 from repro.experiments.common import render_table
 from repro.kernels import get_kernel
+from repro.ssd.device import ComputationalSSD
 
 SAMPLE_BYTES = 128 * 1024
 
@@ -40,8 +40,7 @@ class Fig5Result:
 
 def run(sample_bytes: int = SAMPLE_BYTES) -> Fig5Result:
     kernel = get_kernel("filter")
-    model = CoreModel(baseline_core())
-    result = model.run(kernel, kernel.make_inputs(sample_bytes))
+    result = ComputationalSSD(baseline_config()).sample_kernel(kernel, sample_bytes)
     return Fig5Result(
         throughput_gbps=result.throughput_bytes_per_ns(1.0),
         cycles_per_byte=result.cycles_per_byte,

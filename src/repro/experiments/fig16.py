@@ -46,8 +46,7 @@ def run(core_counts: Tuple[int, ...] = CORE_COUNTS, data_bytes: int = DATA_BYTES
     sample = ComputationalSSD(base).sample_kernel(kernel)
     per_core_peak = sample.throughput_bytes_per_ns(base.core.frequency_ghz)
     results = {
-        n: simulate_offload(base.with_cores(n), kernel, data_bytes, sample=sample)
-        for n in core_counts
+        n: simulate_offload(base.with_cores(n), kernel, data_bytes) for n in core_counts
     }
     return ScalingResult(per_core_peak_gbps=per_core_peak, results=results)
 

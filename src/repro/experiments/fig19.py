@@ -17,7 +17,7 @@ from typing import Dict, Tuple
 from repro.config import SSDConfig, assasin_sb_config, assasin_sb_core
 from repro.experiments.common import render_table
 from repro.kernels import get_kernel
-from repro.ssd.device import ComputationalSSD, simulate_offload
+from repro.ssd.device import simulate_offload
 
 SKEWS = (0.0, 0.25, 0.5, 0.75, 1.0)
 DATA_BYTES = 32 << 20
@@ -46,16 +46,11 @@ def run(data_bytes: int = DATA_BYTES, skews=SKEWS, kernels=KERNELS) -> Fig19Resu
     local_cfg = channel_local_config()
     for kernel_name in kernels:
         kernel = get_kernel(kernel_name)
-        sample = ComputationalSSD(xbar_cfg).sample_kernel(kernel)
         per_kernel: Dict[float, Tuple[float, float]] = {}
         for skew in skews:
-            xbar = simulate_offload(
-                xbar_cfg, kernel, data_bytes, layout_skew=skew, sample=sample
-            ).throughput_gbps
-            local = simulate_offload(
-                local_cfg, kernel, data_bytes, layout_skew=skew, sample=sample
-            ).throughput_gbps
-            per_kernel[skew] = (xbar, local)
+            xbar = simulate_offload(xbar_cfg, kernel, data_bytes, layout_skew=skew)
+            local = simulate_offload(local_cfg, kernel, data_bytes, layout_skew=skew)
+            per_kernel[skew] = (xbar.throughput_gbps, local.throughput_gbps)
         results[kernel_name] = per_kernel
     return Fig19Result(results=results)
 

@@ -5,9 +5,10 @@ A :class:`FleetCampaign` is the rack-scale analogue of
 
 1. **Build** — N :class:`~repro.ssd.device.ComputationalSSD` peers of one
    Table IV configuration, each behind a
-   :class:`~repro.serve.service.DeviceService`; the peers are identical, so
-   the pricing memo (:mod:`repro.kernels.pricing`) samples each scomp
-   kernel's core phase once and every device prices from that run.
+   :class:`~repro.serve.service.DeviceService`; the peers share one core
+   config, so the pricing memo (:mod:`repro.kernels.pricing`, keyed on
+   the core) samples each scomp kernel's core phase once and every device
+   prices from that run.
 2. **Shard** — each tenant's fleet-LPA region splits into
    ``shard_pages``-page shards placed on the consistent-hash ring; every
    fleet page gets a device-local LPA from its home device's allocator.

@@ -53,7 +53,6 @@ class ServingLayer:
         tenants: Sequence[TenantSpec],
         config: Optional[ServeConfig] = None,
         seed: int = 0,
-        samples: Optional[Dict[str, object]] = None,
         recovery=None,
     ) -> None:
         if not tenants:
@@ -93,7 +92,7 @@ class ServingLayer:
             self.device.ftl.populate(range(base, base + spec.region_pages))
             base += spec.region_pages
 
-        #: The per-device service paths (core-phase samples, stream-core
+        #: The per-device service paths (core-phase rates, stream-core
         #: pool, out-LPA allocator) live in a :class:`DeviceService` so the
         #: fleet router can reuse them against N peer devices; ``recovery``
         #: (a :class:`~repro.ssd.firmware.RecoveryController`) routes every
@@ -101,7 +100,6 @@ class ServingLayer:
         #: instead of silently serving corrupt data.
         self.service = DeviceService(
             device,
-            samples=samples,
             kernels=[s.kernel for s in self.specs if s.kind == "scomp"],
             recovery=recovery,
         )

@@ -1,8 +1,8 @@
 """Per-device analytic service paths shared by the serving layer and fleet.
 
 :class:`DeviceService` owns the pieces of command service that belong to
-*one* :class:`~repro.ssd.device.ComputationalSSD`: the core-phase samples
-(cycles/byte and output ratio per scomp kernel), the stream-core pool as
+*one* :class:`~repro.ssd.device.ComputationalSSD`: the core-phase rates
+(ns/page and output ratio per scomp kernel), the stream-core pool as
 unit timelines, the serve-path output-LPA allocator, and the read/write/
 scomp service models that walk the device's flash, crossbar, and host-link
 timelines. :class:`~repro.serve.scheduler.ServingLayer` delegates to one
@@ -23,7 +23,7 @@ The service models are exactly the ones documented on the serving layer:
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, Tuple
 
 from repro.errors import ServeError
 from repro.kernels import get_kernel
@@ -42,7 +42,6 @@ class DeviceService:
     def __init__(
         self,
         device,
-        samples: Optional[Dict[str, object]] = None,
         kernels: Iterable[str] = (),
         recovery=None,
         cores_name: str = "serve.cores",
@@ -54,24 +53,14 @@ class DeviceService:
         #: ladder and commands complete with degraded/failed statuses.
         self.recovery = recovery
         self._tracer = device.telemetry.tracer
+        self.page_bytes = device.config.flash.page_bytes
 
-        # Core-phase samples per scomp kernel (cycles/byte, output ratio).
-        self.samples: Dict[str, object] = dict(samples or {})
+        #: (ns per page, output ratio) per scomp kernel, derived from the
+        #: device's sampled runs. Pricing the declared kernels up front
+        #: rejects an unknown tenant kernel when the layer is built.
+        self._rates: Dict[str, Tuple[float, float]] = {}
         for kernel_name in kernels:
-            if kernel_name not in self.samples:
-                self.samples[kernel_name] = device.sample_kernel(get_kernel(kernel_name))
-
-        page = device.config.flash.page_bytes
-        period_ns = device.config.core.clock_period_ns
-        self.page_bytes = page
-        self._cpp_page_ns = {
-            name: s.cycles_per_byte * page * period_ns
-            for name, s in self.samples.items()
-        }
-        self._out_ratio = {
-            name: (s.bytes_out / s.bytes_in if s.bytes_in else 0.0)
-            for name, s in self.samples.items()
-        }
+            self.ensure_sample(kernel_name)
 
         #: The stream-core pool as unit timelines on the simulation kernel;
         #: scomp service claims the least-loaded lane.
@@ -81,32 +70,31 @@ class DeviceService:
     # -- sampling --------------------------------------------------------------
 
     def ensure_sample(self, kernel_name: str) -> None:
-        """Sample ``kernel_name``'s core phase if not already cached."""
-        if kernel_name not in self.samples:
-            self.samples[kernel_name] = self.device.sample_kernel(
-                get_kernel(kernel_name)
-            )
-            sample = self.samples[kernel_name]
-            page = self.page_bytes
-            period_ns = self.device.config.core.clock_period_ns
-            self._cpp_page_ns[kernel_name] = (
-                sample.cycles_per_byte * page * period_ns
-            )
-            self._out_ratio[kernel_name] = (
-                sample.bytes_out / sample.bytes_in if sample.bytes_in else 0.0
-            )
+        """Price ``kernel_name``'s core phase if not already priced."""
+        if kernel_name in self._rates:
+            return
+        sample = self.device.sample_kernel(get_kernel(kernel_name))
+        period_ns = self.device.config.core.clock_period_ns
+        self._rates[kernel_name] = (
+            sample.cycles_per_byte * self.page_bytes * period_ns,
+            sample.bytes_out / sample.bytes_in if sample.bytes_in else 0.0,
+        )
 
-    def compute_ns_per_page(self, kernel_name: str) -> float:
-        """Sampled core time to stream one flash page through ``kernel_name``."""
+    def _priced(self, kernel_name: str) -> Tuple[float, float]:
         try:
-            return self._cpp_page_ns[kernel_name]
+            return self._rates[kernel_name]
         except KeyError:
             raise ServeError(
                 f"no core-phase sample for kernel {kernel_name!r}"
             ) from None
 
+    def compute_ns_per_page(self, kernel_name: str) -> float:
+        """Sampled core time to stream one flash page through ``kernel_name``."""
+        return self._priced(kernel_name)[0]
+
     def out_ratio(self, kernel_name: str) -> float:
-        return self._out_ratio.get(kernel_name, 0.0)
+        """Sampled output bytes per input byte of ``kernel_name``."""
+        return self._priced(kernel_name)[1]
 
     # -- service models --------------------------------------------------------
 

@@ -138,20 +138,26 @@ class ComputationalSSD:
 
     # -- computational path ------------------------------------------------------
 
-    def sample_kernel(self, kernel, sample_bytes: Optional[int] = None) -> CoreRunResult:
+    def sample_kernel(
+        self, kernel, sample_bytes: Optional[int] = None, seed: int = 1
+    ) -> CoreRunResult:
         """Core phase: run the kernel on a representative window.
 
-        The sampled run is a pure function of (config, engine pipeline
-        params, kernel and its parameters, size), so it is looked up in
-        :data:`repro.kernels.pricing.SAMPLES` first and the engine runs
-        only on a miss.
+        The sampled run is a pure function of (core config, engine pipeline
+        params, kernel and its parameters, size, input seed), so it is
+        looked up in :data:`repro.kernels.pricing.SAMPLES` first and the
+        engine runs only on a miss.
         """
-        size = sample_bytes or _SAMPLE_BYTES_BY_KERNEL.get(kernel.name, DEFAULT_SAMPLE_BYTES)
+        if sample_bytes is None:
+            sample_bytes = _SAMPLE_BYTES_BY_KERNEL.get(kernel.name, DEFAULT_SAMPLE_BYTES)
+        elif sample_bytes <= 0:
+            raise DeviceError(f"sample window must be positive, got {sample_bytes} bytes")
         params = getattr(self.engine, "pipeline_params", None)
-        key = (self.config, params, kernel.pricing_key(), size)
+        key = (self.config.core, params, kernel.pricing_key(), sample_bytes, seed)
         sample = SAMPLES.get(key)
         if sample is None:
-            sample = SAMPLES[key] = self.engine.run(kernel, kernel.make_inputs(size))
+            inputs = kernel.make_inputs(sample_bytes, seed=seed)
+            sample = SAMPLES[key] = self.engine.run(kernel, inputs)
         return sample
 
     def offload(
@@ -159,7 +165,6 @@ class ComputationalSSD:
         kernel,
         data_bytes: int,
         sample_bytes: Optional[int] = None,
-        sample: Optional[CoreRunResult] = None,
         background=None,
     ) -> OffloadResult:
         """Execute a read-path scomp of ``kernel`` over ``data_bytes``.
@@ -176,19 +181,15 @@ class ComputationalSSD:
             lpa_lists=[lpas],
         )
         self.host.submit(command)
-        core_sample = sample or self.sample_kernel(kernel, sample_bytes)
-        result = self.firmware.run_offload(kernel, core_sample, lpas, background=background)
+        sample = self.sample_kernel(kernel, sample_bytes)
+        result = self.firmware.run_offload(kernel, sample, lpas, background=background)
         # Results (or final state) return to the host over the link.
         done = self.host.transfer(max(result.bytes_out, 1), result.completion_ns, to_host=True)
         self.host.complete(command, 0.0, done, result.bytes_out)
         return result
 
     def offload_write_path(
-        self,
-        kernel,
-        data_bytes: int,
-        sample_bytes: Optional[int] = None,
-        sample: Optional[CoreRunResult] = None,
+        self, kernel, data_bytes: int, sample_bytes: Optional[int] = None
     ) -> OffloadResult:
         """Write-path scomp: ingest host data through the compute engines.
 
@@ -206,8 +207,8 @@ class ComputationalSSD:
             write_path=True,
         )
         self.host.submit(command)
-        core_sample = sample or self.sample_kernel(kernel, sample_bytes)
-        result = self.firmware.run_write_offload(kernel, core_sample, pages)
+        sample = self.sample_kernel(kernel, sample_bytes)
+        result = self.firmware.run_write_offload(kernel, sample, pages)
         self.host.transfer(result.bytes_in, 0.0, to_host=False)
         self.host.complete(command, 0.0, result.completion_ns, result.bytes_in)
         return result
@@ -242,7 +243,6 @@ class ComputationalSSD:
         serve_config=None,
         duration_ns: float = 2_000_000.0,
         seed: int = 0,
-        samples=None,
         recovery=None,
     ):
         """Serve a multi-tenant mixed scomp/read/write workload (QoS path).
@@ -258,9 +258,7 @@ class ComputationalSSD:
         """
         from repro.serve.scheduler import ServingLayer
 
-        layer = ServingLayer(
-            self, tenants, config=serve_config, seed=seed, samples=samples, recovery=recovery
-        )
+        layer = ServingLayer(self, tenants, config=serve_config, seed=seed, recovery=recovery)
         return layer.run(duration_ns)
 
     def offload_functional(self, kernel, data: bytes):
@@ -300,7 +298,6 @@ def simulate_offload(
     data_bytes: int = 256 << 20,
     sample_bytes: Optional[int] = None,
     layout_skew: float = 0.0,
-    sample: Optional[CoreRunResult] = None,
 ) -> OffloadResult:
     """One-call offload simulation on a fresh device (the main entry point).
 
@@ -310,4 +307,4 @@ def simulate_offload(
     size-invariant past ~64 MiB for these streaming kernels.
     """
     device = ComputationalSSD(config, layout_skew=layout_skew)
-    return device.offload(kernel, data_bytes, sample_bytes=sample_bytes, sample=sample)
+    return device.offload(kernel, data_bytes, sample_bytes=sample_bytes)

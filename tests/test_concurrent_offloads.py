@@ -86,9 +86,8 @@ def test_pre_kernel_shims_are_gone():
 def test_background_io_coexists_with_offload():
     device = ComputationalSSD(assasin_sb_config())
     kernel = get_kernel("scan")
-    sample = device.sample_kernel(kernel)
     background = BackgroundIO(lpas=list(range(0, 512, 5)), interval_ns=8192.0)
-    result = device.offload(kernel, DATA, sample=sample, background=background)
+    result = device.offload(kernel, DATA, background=background)
     assert background.latencies_ns, "background reads were serviced"
     assert background.mean_latency_ns < 1e6  # stays sub-millisecond
     assert result.throughput_gbps > 5.0  # offload barely perturbed at 0.5 GB/s

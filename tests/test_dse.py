@@ -5,6 +5,7 @@ semantics, and — the acceptance-critical property — byte-identical JSON
 reports across same-seed runs.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -58,7 +59,7 @@ def test_geometry_parsing():
 
 def test_point_config_carries_label_and_cores():
     cfg = point_config("sb-S8P2", 4, "predictive", "lbl")
-    assert cfg.name == "lbl" and cfg.core.name == "lbl"
+    assert cfg.name == "lbl" and cfg.core.name == "sb-S8P2"
     assert cfg.num_cores == 4
     assert cfg.core.pipeline_model == "predictive"
 
@@ -161,6 +162,24 @@ def test_same_seed_reports_byte_identical():
     first = report_json(run_sweep(_TINY))
     second = report_json(run_sweep(_TINY))
     assert first == second
+
+
+#: sha256 of ``report_json`` for :data:`_PINNED`. Same-seed double runs
+#: cannot notice a refactor that moves every number at once; this can.
+_PINNED_DIGEST = "fc93203b4007c36fcfd0c806de41f0ecd46dd084d82dbb50bb63fd9c7cb99a0e"
+_PINNED = SweepSpec(
+    cores=(4, 8),
+    geometries=("sb-S8P2", "sp"),
+    pipeline_models=("static", "predictive"),
+    kernels=("stat", "psf"),
+    data_bytes=1 << 20,
+    sample_bytes=4 * 1024,
+)
+
+
+def test_report_matches_pinned_digest():
+    report = report_json(run_sweep(_PINNED))
+    assert hashlib.sha256(report.encode()).hexdigest() == _PINNED_DIGEST
 
 
 def test_report_round_trips_as_json():

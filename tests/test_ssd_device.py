@@ -97,10 +97,9 @@ def test_offload_rejects_empty():
 def test_scaling_linear_then_flash_bound():
     kernel = get_kernel("scan")
     cfg = assasin_sb_config()
-    sample = ComputationalSSD(cfg).sample_kernel(kernel)
     rates = {}
     for n in (1, 2, 4, 8, 12):
-        rates[n] = simulate_offload(cfg.with_cores(n), kernel, DATA, sample=sample).throughput_gbps
+        rates[n] = simulate_offload(cfg.with_cores(n), kernel, DATA).throughput_gbps
     assert rates[2] == pytest.approx(2 * rates[1], rel=0.05)
     assert rates[4] == pytest.approx(4 * rates[1], rel=0.05)
     assert rates[12] <= 8.01  # flash array bound
@@ -131,12 +130,11 @@ def test_skewed_layout_concentrates_channel_traffic():
 
 def test_crossbar_beats_channel_local_under_skew():
     kernel = get_kernel("raid6")  # compute-heavy: pooling matters
-    sample = ComputationalSSD(assasin_sb_config()).sample_kernel(kernel)
     xbar_cfg = assasin_sb_config()
     local_cfg = SSDConfig(name="local", core=assasin_sb_core(), num_cores=8, crossbar=False)
     skew = 0.5
-    xbar = simulate_offload(xbar_cfg, kernel, DATA, layout_skew=skew, sample=sample)
-    local = simulate_offload(local_cfg, kernel, DATA, layout_skew=skew, sample=sample)
+    xbar = simulate_offload(xbar_cfg, kernel, DATA, layout_skew=skew)
+    local = simulate_offload(local_cfg, kernel, DATA, layout_skew=skew)
     assert xbar.throughput_gbps > 1.2 * local.throughput_gbps
 
 
