@@ -228,7 +228,7 @@ class _UnitCursor:
         return ppa
 
     def release_block(self, block: int) -> None:
-        if block == self._current_block:
+        if block == self._current_block and self._next_page < self.config.pages_per_block:
             raise FTLError("cannot release the open write block")
         if block in self._retired:
             return  # grown bad blocks never rejoin the pool

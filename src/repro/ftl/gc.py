@@ -5,28 +5,27 @@ the block with the most invalid pages is reclaimed first, still-valid pages
 are relocated through the allocator, and the erase is timed against the
 flash array so GC pressure shows up as channel/die occupancy.
 
-Two driving styles share the same relocation mechanics:
+The collector holds no bookkeeping of its own: it asks the FTL for
+:meth:`~repro.ftl.mapping.PageMapFTL.collectible` blocks, walks the
+victim's :meth:`~repro.ftl.mapping.PageMapFTL.valid_pages`, moves each with
+:meth:`~repro.ftl.mapping.PageMapFTL.relocate`, and hands the block back
+through :meth:`~repro.ftl.mapping.PageMapFTL.erase`.
 
-* :meth:`GarbageCollector.collect` runs a whole pass synchronously at a
-  given instant (maintenance windows, tests).
-* :meth:`GarbageCollector.collect_process` is a generator process for the
-  unified :class:`repro.sim.Simulator` kernel — it yields between page
-  relocations, so foreground offload/serve processes scheduled on the same
-  kernel contend with GC on the plane and bus timelines instead of seeing
-  one atomic burst.
+:meth:`GarbageCollector.collect_process` is the one pass: a generator
+process for the unified :class:`repro.sim.Simulator` kernel. It yields
+between page relocations, so foreground offload/serve processes scheduled
+on the same kernel contend with GC on the plane and bus timelines instead
+of seeing one atomic burst.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional
 
 from repro.errors import FTLError
 from repro.flash.array import FlashArray, PhysicalPageAddress
-from repro.ftl.mapping import PageMapFTL
-
-BlockId = Tuple[int, int, int, int, int]  # channel, chip, die, plane, block
+from repro.ftl.mapping import BlockId, PageMapFTL
 
 
 @dataclass
@@ -47,45 +46,21 @@ class GarbageCollector:
         self.array = array
         self.collections = 0
         self.pages_relocated = 0
-        #: Outcome of the most recent pass (set by both driving styles;
-        #: the process form has no direct way to return it).
+        #: Outcome of the most recent pass (a process has no direct way to
+        #: return it).
         self.last_result: Optional[GCResult] = None
 
-    def _blocks_by_invalid(self) -> Dict[BlockId, List[PhysicalPageAddress]]:
-        groups: Dict[BlockId, List[PhysicalPageAddress]] = defaultdict(list)
-        for ppa in self.ftl.invalid_pages:
-            key = (ppa.channel, ppa.chip, ppa.die, ppa.plane, ppa.block)
-            groups[key].append(ppa)
-        return groups
-
     def pick_victim(self) -> Optional[BlockId]:
-        groups = self._blocks_by_invalid()
-        # Never reclaim an open write point: its remaining pages are about
-        # to be programmed.
-        open_blocks = self.ftl.allocator.open_blocks()
-        candidates = {k: v for k, v in groups.items() if k not in open_blocks}
+        """The collectible block with the most invalid pages.
+
+        Ties go to the least-worn block, then to the lowest
+        ``(channel, chip, die, plane, block)``.
+        """
+        candidates = self.ftl.collectible()
         if not candidates:
             return None
-        # Most invalid pages first; break ties toward least-worn blocks.
-        def score(item):
-            key, pages = item
-            return (len(pages), -self.ftl.wear.erase_count(key))
-
-        return max(candidates.items(), key=score)[0]
-
-    def collect(self, at_ns: float = 0.0) -> GCResult:
-        """Run one GC pass; raises if there is nothing to collect."""
-        victim = self.pick_victim()
-        if victim is None:
-            raise FTLError("no invalid pages: nothing to collect")
-        invalid_here = self._invalid_pages_in(victim)
-        # Relocate valid pages (mapped pages living in this block).
-        relocated = 0
-        now = at_ns
-        for ppa, lpa in self._valid_pages_in(victim, invalid_here):
-            now = self._relocate(ppa, lpa, now)
-            relocated += 1
-        return self._finish(victim, invalid_here, relocated, now)
+        erase_count = self.ftl.wear.erase_count
+        return min(candidates, key=lambda b: (-candidates[b], erase_count(b), b))
 
     def collect_process(self, sim, at_ns: float = 0.0):
         """One GC pass as a process on the simulation kernel.
@@ -94,68 +69,26 @@ class GarbageCollector:
         other processes on the same kernel (offload engines, background
         host reads) issue their reservations in global time order and GC
         pressure shows up as genuine contention. The finished
-        :class:`GCResult` lands in :attr:`last_result`.
+        :class:`GCResult` lands in :attr:`last_result`; its ``reclaimed``
+        is the victim's invalid count once the pass starts.
         """
         victim = self.pick_victim()
         if victim is None:
-            raise FTLError("no invalid pages: nothing to collect")
+            raise FTLError("no collectible invalid pages: nothing to collect")
         yield sim.wait_until(at_ns)
-        invalid_here = self._invalid_pages_in(victim)
+        reclaimed = self.ftl.collectible()[victim]
         relocated = 0
         now = sim.now
-        for ppa, lpa in self._valid_pages_in(victim, invalid_here):
-            now = self._relocate(ppa, lpa, now)
+        for page, lpa in self.ftl.valid_pages(victim):
+            read = self.array.service_read(PhysicalPageAddress(*victim, page), now)
+            write = self.array.service_write(self.ftl.relocate(lpa), read.done_ns)
+            now = write.array_done_ns
             relocated += 1
             yield sim.wait_until(now)
-        self._finish(victim, invalid_here, relocated, now)
-
-    # -- shared relocation mechanics ------------------------------------------
-
-    def _invalid_pages_in(self, victim: BlockId):
-        return {
-            ppa.page
-            for ppa in self.ftl.invalid_pages
-            if (ppa.channel, ppa.chip, ppa.die, ppa.plane, ppa.block) == victim
-        }
-
-    def _valid_pages_in(self, victim: BlockId, invalid_here):
-        channel, chip, die, plane, block = victim
-        for page in range(self.ftl.config.pages_per_block):
-            if page in invalid_here:
-                continue
-            ppa = PhysicalPageAddress(channel, chip, die, plane, block, page)
-            lpa = self.ftl.reverse_lookup(ppa)
-            if lpa is None:
-                continue  # never-written page
-            yield ppa, lpa
-
-    def _relocate(self, ppa: PhysicalPageAddress, lpa: int, now: float) -> float:
-        read = self.array.service_read(ppa, now)
-        _, new_ppa = self.ftl.remap_for_gc(lpa)
-        write = self.array.service_write(new_ppa, read.done_ns)
-        return write.array_done_ns
-
-    def _finish(self, victim: BlockId, invalid_here, relocated: int, now: float) -> GCResult:
-        channel, chip, die, plane, block = victim
-        erase_ppa = PhysicalPageAddress(channel, chip, die, plane, block, 0)
-        done = self.array.erase(erase_ppa, now)
-        self.ftl.wear.record_erase(victim)
-        # Drop this block's pages from the invalid set and free it.
-        self.ftl.invalid_pages.difference_update(
-            {
-                ppa
-                for ppa in set(self.ftl.invalid_pages)
-                if (ppa.channel, ppa.chip, ppa.die, ppa.plane, ppa.block) == victim
-            }
-        )
-        self.ftl.allocator.free_block(erase_ppa)
+        self.ftl.erase(victim)
+        done = self.array.erase(PhysicalPageAddress(*victim, 0), now)
         self.collections += 1
         self.pages_relocated += relocated
-        result = GCResult(
-            victim=victim,
-            relocated=relocated,
-            reclaimed=len(invalid_here),
-            done_ns=done,
+        self.last_result = GCResult(
+            victim=victim, relocated=relocated, reclaimed=reclaimed, done_ns=done
         )
-        self.last_result = result
-        return result

@@ -5,9 +5,9 @@ NVMe ZNS (and ZCSD, see PAPERS.md): the namespace is an array of fixed-size
 zones, each mapped to the same block index across every (die, plane) of one
 (channel, chip) — a *block group* that one chip can program in parallel.
 Writes are append-only at a per-zone write pointer; the host reclaims space
-with whole-zone resets instead of page garbage collection, so the greedy
-:class:`~repro.ftl.gc.GarbageCollector` is bypassed entirely and every reset
-feeds the shared :class:`~repro.ftl.wear.WearTracker` directly.
+with whole-zone resets instead of page garbage collection, so there is no
+invalid-page bookkeeping and no :class:`~repro.ftl.gc.GarbageCollector`:
+every reset feeds the shared :class:`~repro.ftl.wear.WearTracker` directly.
 
 Zone state machine (NVMe ZNS section 2.3, trimmed to the states the model
 needs)::
@@ -64,9 +64,12 @@ class ZonedFTL:
 
     Keeps the slices of the :class:`~repro.ftl.mapping.PageMapFTL` surface
     that shared code paths touch (``lookup``/``is_mapped``/``__len__``/
-    ``invalid_pages``/``channel_page_counts``/``wear``/``allocator``), but
-    random writes (``write``/``populate``/``trim``) raise: a zoned
-    namespace is sequential-write-only by construction.
+    ``channel_page_counts``/``wear``), but random writes
+    (``write``/``populate``/``trim``) raise: a zoned namespace is
+    sequential-write-only by construction. It has none of the page-GC
+    surface (``invalid_count``/``collectible``/``allocator``); the
+    ``populate`` refusal keeps the SQL session and its cost model, the
+    only readers of that surface, off a zoned device.
     """
 
     def __init__(self, config: FlashConfig, max_open_zones: int = 8) -> None:
@@ -85,10 +88,6 @@ class ZonedFTL:
         self._open: Set[int] = set()
         self.resets = 0
         self.appends = 0
-        #: Duck-type shim for code that inspects ``ftl.allocator.open_blocks()``.
-        self.allocator = _ZoneAllocatorView(self)
-        #: PageMapFTL compatibility: ZNS mode has no page-GC debt, ever.
-        self.updates = 0
 
     # -- geometry ----------------------------------------------------------------
 
@@ -271,11 +270,6 @@ class ZonedFTL:
     def __len__(self) -> int:
         return sum(self._wp.values())
 
-    @property
-    def invalid_pages(self) -> Set[PhysicalPageAddress]:
-        """ZNS reclaims by zone reset; there is no page-GC debt to collect."""
-        return set()
-
     def write(self, lpa: int) -> PhysicalPageAddress:
         raise ZnsError("zoned namespace is append-only; use append(zone_id, npages)")
 
@@ -295,18 +289,3 @@ class ZonedFTL:
             if wp:
                 counts[self.zone_group(zone_id)[0]] += wp
         return counts
-
-
-class _ZoneAllocatorView:
-    """Just enough of :class:`~repro.ftl.allocator.PageAllocator` for code
-    that asks the FTL which blocks are open (e.g. GC-debt probes): the open
-    blocks of a zoned namespace are the block groups of its OPEN zones."""
-
-    def __init__(self, ftl: ZonedFTL) -> None:
-        self._ftl = ftl
-
-    def open_blocks(self) -> Set[BlockKey]:
-        keys: Set[BlockKey] = set()
-        for zone_id in self._ftl.open_zones:
-            keys.update(self._ftl.zone_blocks(zone_id))
-        return keys

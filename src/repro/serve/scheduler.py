@@ -57,6 +57,12 @@ class ServingLayer:
     ) -> None:
         if not tenants:
             raise ServeError("serving layer needs at least one tenant")
+        region_pages = sum(spec.region_pages for spec in tenants)
+        if region_pages > device.config.flash.total_pages:
+            raise ServeError(
+                f"tenant regions need {region_pages} pages but the device holds "
+                f"{device.config.flash.total_pages}"
+            )
         self.device = device
         self.specs = list(tenants)
         self.config = config or ServeConfig()

@@ -258,7 +258,7 @@ class SqlSession:
         sim = self.layer.events
         while sim.now < horizon_ns:
             yield sim.wait_until(min(sim.now + self.gc_interval_ns, horizon_ns))
-            invalid = len(self.device.ftl.invalid_pages)
+            invalid = self.device.ftl.invalid_count
             self._g_invalid.set(float(invalid))
             if invalid < self.gc_threshold_pages:
                 continue
@@ -269,7 +269,7 @@ class SqlSession:
                 continue  # every invalid page sits in an open block
             self._c_collections.inc()
             self._c_relocated.inc(self._gc.pages_relocated - before)
-            self._g_invalid.set(float(len(self.device.ftl.invalid_pages)))
+            self._g_invalid.set(float(self.device.ftl.invalid_count))
 
     # -- placement -------------------------------------------------------------
 

@@ -11,6 +11,7 @@ from repro.ftl.allocator import PageAllocator, measured_skew, skew_shares
 from repro.ftl.gc import GarbageCollector
 from repro.ftl.mapping import PageMapFTL
 from repro.ftl.wear import WearTracker
+from repro.sim import SimProcessError, Simulator
 
 CFG = FlashConfig(
     channels=4,
@@ -20,6 +21,19 @@ CFG = FlashConfig(
     blocks_per_plane=8,
     pages_per_block=16,
 )
+
+
+def run_gc_pass(gc, at_ns=0.0):
+    """Run one GC pass to completion as a process on a fresh simulator,
+    re-raising the pass's own error (``FTLError`` when nothing is
+    collectible) rather than the simulator's wrapper."""
+    sim = Simulator()
+    sim.spawn(gc.collect_process(sim, at_ns), label="gc")
+    try:
+        sim.run()
+    except SimProcessError as exc:
+        raise exc.__cause__ from None
+    return gc.last_result
 
 
 def test_skew_shares_extremes():
@@ -86,19 +100,20 @@ def test_ftl_update_is_out_of_place():
     first = ftl.write(7)
     second = ftl.write(7)
     assert first != second
-    assert first in ftl.invalid_pages
+    assert ftl.invalid_count == 1
     assert ftl.lookup(7) == second
     assert ftl.updates == 1
 
 
 def test_ftl_trim():
     ftl = PageMapFTL(CFG)
-    ppa = ftl.write(9)
+    ftl.write(9)
     ftl.trim(9)
     assert not ftl.is_mapped(9)
-    assert ppa in ftl.invalid_pages
+    assert ftl.invalid_count == 1
     with pytest.raises(FTLError):
         ftl.trim(9)
+    assert ftl.invalid_count == 1
 
 
 def test_populate_distribution_matches_skew():
@@ -130,10 +145,10 @@ def test_gc_reclaims_most_invalid_block():
         ppa = ftl.write(lpa)  # out-of-place update invalidates the old page
         array.service_write(ppa, 0.0)
     gc = GarbageCollector(ftl, array)
-    before = len(ftl.invalid_pages)
-    result = gc.collect(at_ns=array.horizon_ns)
+    before = ftl.invalid_count
+    result = run_gc_pass(gc, at_ns=array.horizon_ns)
     assert result.reclaimed > 0
-    assert len(ftl.invalid_pages) == before - result.reclaimed
+    assert ftl.invalid_count == before - result.reclaimed
     assert ftl.wear.total_erases == 1
     # Relocated pages must still resolve.
     for lpa in range(64):
@@ -145,7 +160,7 @@ def test_gc_without_garbage_raises():
     array = FlashArray(CFG)
     gc = GarbageCollector(ftl, array)
     with pytest.raises(FTLError):
-        gc.collect()
+        run_gc_pass(gc)
 
 
 def test_gc_frees_capacity_for_new_writes():
@@ -166,7 +181,7 @@ def test_gc_frees_capacity_for_new_writes():
     for lpa in range(4):
         array.service_write(ftl.write(lpa), 0.0)  # uses the 4th block
     # Array is now full; GC must reclaim before further writes succeed.
-    gc.collect(at_ns=array.horizon_ns)
+    run_gc_pass(gc, at_ns=array.horizon_ns)
     ftl.write(100)  # should not raise
 
 
@@ -189,7 +204,7 @@ def test_wear_leveling_prefers_least_erased_blocks():
     for round_ in range(6):
         for lpa in range(2):
             array.service_write(ftl.write(lpa), 0.0)
-        gc.collect(at_ns=array.horizon_ns)
+        run_gc_pass(gc, at_ns=array.horizon_ns)
     # Erases must be spread: no block should carry them all.
     assert ftl.wear.total_erases >= 6
     assert ftl.wear.max_erases < ftl.wear.total_erases
@@ -246,7 +261,7 @@ class _MinScanUnit:
         return ppa
 
     def release_block(self, block):
-        if block == self._current_block:
+        if block == self._current_block and self._next_page < self.config.pages_per_block:
             raise FTLError("cannot release the open write block")
         if block in self._retired:
             return
@@ -369,3 +384,170 @@ def test_block_erased_while_free_is_refused():
     wear.record_erase((0, 0, 0, 0, 1))
     with pytest.raises(FTLError, match="erased while free"):
         alloc.allocate()
+
+
+def test_only_an_open_write_point_is_refused_on_free():
+    """A write point whose block just filled is closed, so GC may collect
+    and free it; one with pages left may not be freed."""
+    alloc = PageAllocator(SMALL, wear=WearTracker())
+    full = alloc.allocate()  # pages_per_block=1: the block fills at once
+    assert alloc.open_blocks() == set()
+    alloc.free_block(full)
+    alloc = PageAllocator(GC_GEOMETRY, wear=WearTracker())
+    partial = alloc.allocate()
+    with pytest.raises(FTLError, match="open write block"):
+        alloc.free_block(partial)
+
+
+def test_erase_of_block_with_valid_pages_is_refused():
+    ftl = PageMapFTL(SMALL)
+    ppa = ftl.write(0)  # pages_per_block=1: the block closes at once
+    block = (ppa.channel, ppa.chip, ppa.die, ppa.plane, ppa.block)
+    with pytest.raises(FTLError, match="still holds valid pages"):
+        ftl.erase(block)
+    assert ftl.lookup(0) == ppa and ftl.wear.total_erases == 0
+    ftl.write(0)  # out-of-place update: the block now holds only garbage
+    assert ftl.collectible() == {block: 1}
+    ftl.erase(block)
+    assert ftl.invalid_count == 0 and ftl.collectible() == {}
+    assert ftl.wear.erase_count(block) == 1
+
+
+# -- per-block GC bookkeeping vs the flat-set oracle ---------------------------
+
+
+def _block(ppa):
+    return (ppa.channel, ppa.chip, ppa.die, ppa.plane, ppa.block)
+
+
+class _FlatSetFTL:
+    """Reference bookkeeping: one flat set of invalid pages, grouped by
+    block on demand, and a linear reverse lookup over the whole map."""
+
+    def __init__(self, config):
+        self.config = config
+        self.wear = WearTracker()
+        self.allocator = PageAllocator(config, wear=self.wear)
+        self.map = {}
+        self.invalid = set()
+
+    def write(self, lpa):
+        new = self.allocator.allocate()
+        old = self.map.get(lpa)
+        if old is not None:
+            self.invalid.add(old)
+        self.map[lpa] = new
+        return new
+
+    def trim(self, lpa):
+        self.invalid.add(self.map.pop(lpa))
+
+    def collectible(self):
+        open_blocks = self.allocator.open_blocks()
+        groups = {}
+        for ppa in self.invalid:
+            if _block(ppa) not in open_blocks:
+                groups[_block(ppa)] = groups.get(_block(ppa), 0) + 1
+        return groups
+
+    def pick_victim(self):
+        groups = self.collectible()
+        if not groups:
+            return None
+        # ``max`` keeps the first of equal keys: scan in address order.
+        return max(sorted(groups), key=lambda b: (groups[b], -self.wear.erase_count(b)))
+
+    def collect(self):
+        """One pass; returns ``(victim, reclaimed, [(page, lpa), ...])``."""
+        victim = self.pick_victim()
+        invalid_here = {ppa.page for ppa in self.invalid if _block(ppa) == victim}
+        moved = []
+        for page in range(self.config.pages_per_block):
+            if page in invalid_here:
+                continue
+            ppa = PhysicalPageAddress(*victim, page)
+            lpa = next((l for l, mapped in self.map.items() if mapped == ppa), None)
+            if lpa is None:
+                continue
+            self.map[lpa] = self.allocator.allocate()
+            self.invalid.add(ppa)
+            moved.append((page, lpa))
+        self.wear.record_erase(victim)
+        self.invalid = {ppa for ppa in self.invalid if _block(ppa) != victim}
+        self.allocator.free_block(PhysicalPageAddress(*victim, 0))
+        return victim, len(invalid_here), moved
+
+
+class _LoggedFTL(PageMapFTL):
+    """The FTL under test, logging each GC relocation as ``(page, lpa)``."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.moved = []
+
+    def relocate(self, lpa):
+        self.moved.append((self.lookup(lpa).page, lpa))
+        return super().relocate(lpa)
+
+
+GC_GEOMETRY = FlashConfig(
+    channels=2,
+    chips_per_channel=1,
+    dies_per_chip=1,
+    planes_per_die=2,
+    blocks_per_plane=4,
+    pages_per_block=4,
+)
+LPAS = 16
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["write"] * 5 + ["trim"] + ["gc"] * 2),
+            st.integers(min_value=0, max_value=1000),
+        ),
+        min_size=1,
+        max_size=120,
+    )
+)
+# Every first-placement block fully overwritten: equal counts and wear,
+# so only the address breaks the tie.
+@example([("write", lpa) for lpa in range(LPAS)] * 2 + [("gc", 0)] * 3)
+# A trim leaves one invalid page in an otherwise live, closed block.
+@example([("write", lpa) for lpa in range(LPAS)] + [("trim", 5), ("gc", 0)])
+def test_gc_bookkeeping_matches_flat_set_oracle(ops):
+    """Random write / overwrite / trim / GC sequences keep the per-block
+    bookkeeping, the victim, the relocation order and the map identical to
+    the flat-set reference."""
+    ftl = _LoggedFTL(GC_GEOMETRY)
+    gc = GarbageCollector(ftl, FlashArray(GC_GEOMETRY))
+    oracle = _FlatSetFTL(GC_GEOMETRY)
+    for op, pick in ops:
+        if op == "write":
+            lpa = pick % LPAS
+            assert _attempt(lambda: ftl.write(lpa)) == _attempt(lambda: oracle.write(lpa))
+        elif op == "trim":
+            mapped = sorted(oracle.map)
+            if mapped:
+                lpa = mapped[pick % len(mapped)]
+                ftl.trim(lpa)
+                oracle.trim(lpa)
+        elif oracle.pick_victim() is None:
+            assert _attempt(lambda: run_gc_pass(gc, gc.array.horizon_ns)) is FTLError
+        else:
+            ftl.moved.clear()
+            result = run_gc_pass(gc, gc.array.horizon_ns)
+            victim, reclaimed, moved = oracle.collect()
+            assert (result.victim, result.reclaimed, result.relocated) == (
+                victim,
+                reclaimed,
+                len(moved),
+            )
+            assert ftl.moved == moved
+        assert ftl.invalid_count == len(oracle.invalid)
+        assert ftl.collectible() == oracle.collectible()
+        assert gc.pick_victim() == oracle.pick_victim()
+        assert {lpa: ftl.lookup(lpa) for lpa in range(LPAS) if ftl.is_mapped(lpa)} == oracle.map
+    assert ftl.wear.total_erases == oracle.wear.total_erases

@@ -97,6 +97,7 @@ def test_flash_contents_survive_gc_relocation():
 
     from repro.config import FlashConfig
     from repro.ftl.gc import GarbageCollector
+    from tests.test_ftl import run_gc_pass
 
     small_flash = FlashConfig(
         channels=2,
@@ -113,7 +114,7 @@ def test_flash_contents_survive_gc_relocation():
     second = b"".join(bytes([i + 100]) * PAGE for i in range(16))
     device.write_dataset(second)  # invalidates every first-placement page
     gc = GarbageCollector(device.ftl, device.array)
-    result = gc.collect(at_ns=device.array.horizon_ns)
+    result = run_gc_pass(gc, at_ns=device.array.horizon_ns)
     assert result.reclaimed > 0
     assert device.read_dataset(range(16)) == second
 

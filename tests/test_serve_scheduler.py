@@ -44,6 +44,36 @@ def test_serve_requires_tenants():
         ServingLayer(device, [])
 
 
+def test_oversize_regions_rejected_before_populate():
+    from dataclasses import replace
+
+    from repro.config import FlashConfig
+
+    tiny = FlashConfig(
+        channels=2,
+        chips_per_channel=1,
+        dies_per_chip=1,
+        planes_per_die=1,
+        blocks_per_plane=4,
+        pages_per_block=4,
+    )
+    config = replace(assasin_sb_config(), flash=tiny)
+    tenant = dict(kind="read", pages_per_command=1, interarrival_ns=1_000.0)
+    device = ComputationalSSD(config)
+    with pytest.raises(ServeError, match=r"need 100 pages but the device holds 32"):
+        ServingLayer(device, [TenantSpec(name="big", region_pages=100, **tenant)])
+    assert len(device.ftl) == 0  # nothing was populated
+    layer = ServingLayer(
+        device,
+        [
+            TenantSpec(name="a", region_pages=20, **tenant),
+            TenantSpec(name="b", region_pages=12, **tenant),
+        ],
+    )
+    assert len(device.ftl) == 32
+    assert layer.region_base == {"a": 0, "b": 20}
+
+
 def test_same_seed_identical_metrics():
     tenants = _trio()
     kwargs = dict(
