@@ -10,7 +10,7 @@ this module owns the raw timing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from repro.config import FlashConfig
 from repro.errors import FlashError
@@ -53,8 +53,7 @@ class PhysicalPageAddress:
         return cls(channel, chip, die, plane, block, page)
 
 
-@dataclass(frozen=True)
-class ServiceRecord:
+class ServiceRecord(NamedTuple):
     """Timing of one serviced page operation (integer ns on the sim clock)."""
 
     ppa: PhysicalPageAddress

@@ -10,16 +10,20 @@ timeline on the unified integer-nanosecond simulation kernel.  Transfers
 are granted in call order, busy intervals are tracked exactly, and
 utilisation over a window counts only the overlap that falls inside it
 (a transfer straddling the window's end contributes its clipped part, not
-its full duration).
+its full duration).  A transfer's duration depends only on its size, so
+it is converted to integer ns once per size, not once per transfer.
 
-Each bus publishes its byte/occupancy totals into the device's
-:class:`~repro.telemetry.counters.CounterRegistry` and emits one span per
-transfer on its ``flash/ch<n>`` trace track; with the default
-:class:`~repro.telemetry.tracer.NullTracer` the span call is a no-op and
-timing is unchanged.
+Occupancy is read off the bus's lane (:attr:`ChannelBus.busy_ns`), not
+kept twice.  The bus publishes only its byte total into the device's
+:class:`~repro.telemetry.counters.CounterRegistry` (``flash.ch<n>.bytes``)
+and emits one span per transfer on its ``flash/ch<n>`` trace track; with
+the default :class:`~repro.telemetry.tracer.NullTracer` the span call is a
+no-op and timing is unchanged.
 """
 
 from __future__ import annotations
+
+from typing import Dict
 
 from repro.config import FlashConfig
 from repro.errors import FlashError
@@ -43,8 +47,8 @@ class ChannelBus:
         self._bus = FifoResource(self._track, trace_label="xfer", backfill=True)
         self._tracer = telemetry.tracer
         self._bytes = telemetry.counters.counter(f"flash.ch{channel}.bytes")
-        self._busy = telemetry.counters.counter(f"flash.ch{channel}.busy_ns")
-        self._transfers = telemetry.counters.counter(f"flash.ch{channel}.transfers")
+        # Transfer size (bytes) -> duration in integer ns.
+        self._durations: Dict[int, int] = {}
 
     @property
     def free_at_ns(self) -> int:
@@ -65,13 +69,14 @@ class ChannelBus:
         Returns the completion time. Transfers are granted in call order
         (FIFO arbitration at the flash controller).
         """
-        if nbytes <= 0:
-            raise FlashError("transfer size must be positive")
-        duration = as_ns(nbytes / self.config.channel_bandwidth_bytes_per_ns)
+        duration = self._durations.get(nbytes)
+        if duration is None:
+            if nbytes <= 0:
+                raise FlashError("transfer size must be positive")
+            duration = as_ns(nbytes / self.config.channel_bandwidth_bytes_per_ns)
+            self._durations[nbytes] = duration
         grant = self._bus.acquire(ready_ns, duration)
         self._bytes.inc(nbytes)
-        self._busy.inc(grant.done_ns - grant.start_ns)
-        self._transfers.inc()
         self._tracer.complete(self._track, "xfer", grant.start_ns, grant.done_ns)
         return grant.done_ns
 

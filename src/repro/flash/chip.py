@@ -48,6 +48,10 @@ class FlashChip:
         self.config = config
         self.channel = channel
         self.index = index
+        # Array latencies on the integer-ns simulation clock, converted once.
+        self._read_ns = as_ns(config.read_latency_ns)
+        self._program_ns = as_ns(config.program_latency_ns)
+        self._erase_ns = as_ns(config.erase_latency_ns)
         units = config.dies_per_chip * config.planes_per_die
         name = f"flash.ch{channel}.chip{index}"
         self._read_lanes = PooledResource(f"{name}.plane_read", units)
@@ -95,9 +99,7 @@ class FlashChip:
     def start_read(self, die: int, plane: int, block: int, page: int, at_ns) -> int:
         self._check(die, plane, block, page)
         # Reads suspend in-flight programs/erases: queue behind reads only.
-        grant = self._read_lanes.acquire(
-            at_ns, as_ns(self.config.read_latency_ns), unit=self._unit(die, plane)
-        )
+        grant = self._read_lanes.acquire(at_ns, self._read_ns, unit=self._unit(die, plane))
         self.planes[die][plane].reads += 1
         return grant.done_ns
 
@@ -118,9 +120,7 @@ class FlashChip:
         # Programs queue behind everything on the plane: in-flight reads
         # (which would suspend them) and earlier programs/erases.
         ready = max(as_ns(at_ns), self._read_lanes.free_at(unit))
-        grant = self._write_lanes.acquire(
-            ready, as_ns(self.config.program_latency_ns), unit=unit
-        )
+        grant = self._write_lanes.acquire(ready, self._program_ns, unit=unit)
         done = grant.done_ns
         self.planes[die][plane].programs += 1
         self._state[key] = PageState.PROGRAMMED
@@ -140,9 +140,7 @@ class FlashChip:
         self._check(die, plane, block, 0)
         unit = self._unit(die, plane)
         ready = max(as_ns(at_ns), self._read_lanes.free_at(unit))
-        grant = self._write_lanes.acquire(
-            ready, as_ns(self.config.erase_latency_ns), unit=unit
-        )
+        grant = self._write_lanes.acquire(ready, self._erase_ns, unit=unit)
         done = grant.done_ns
         self.planes[die][plane].erases += 1
         for page in range(self.config.pages_per_block):

@@ -33,6 +33,7 @@ arrivals reconstruct on the fly.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from collections import deque
 from dataclasses import replace
@@ -48,7 +49,7 @@ from repro.serve.service import DeviceService
 from repro.serve.workload import WorkloadGenerator
 from repro.sim import Simulator
 from repro.ssd.host_interface import ScompCommand
-from repro.utils.stats import percentile
+from repro.utils.stats import nearest_rank
 
 #: Minimum completed same-kind commands before hedge projections engage;
 #: below this the rolling quantile is too noisy to act on.
@@ -68,6 +69,37 @@ class _IdSource:
 
     def next_id(self) -> int:
         return next(self._ids)
+
+
+class ServiceWindow:
+    """The last ``size`` service times of one command kind, kept sorted too.
+
+    The deque remembers arrival order for eviction; beside it a sorted list
+    of the same samples is updated with one insort and one delete per
+    append, so a percentile is a single index instead of a sort of the
+    whole window on every hedge decision.
+    """
+
+    __slots__ = ("_fifo", "_sorted")
+
+    def __init__(self, size: int) -> None:
+        self._fifo: Deque[float] = deque(maxlen=size)
+        self._sorted: List[float] = []
+
+    def __len__(self) -> int:
+        return len(self._fifo)
+
+    def append(self, service_ns: float) -> None:
+        value = float(service_ns)
+        fifo, ordered = self._fifo, self._sorted
+        if len(fifo) == fifo.maxlen:
+            del ordered[bisect.bisect_left(ordered, fifo[0])]
+        fifo.append(value)
+        bisect.insort(ordered, value)
+
+    def percentile(self, pct: float) -> float:
+        """Nearest-rank percentile, as :func:`repro.utils.stats.percentile`."""
+        return nearest_rank(self._sorted, pct)
 
 
 class _Degraded:
@@ -138,9 +170,8 @@ class FleetRouter:
             d: DeviceStats(device=d) for d in range(config.num_devices)
         }
         # Rolling service-time windows per command kind drive hedge delays.
-        self._windows: Dict[str, Deque[float]] = {
-            kind: deque(maxlen=config.hedge_window)
-            for kind in ("read", "write", "scomp")
+        self._windows: Dict[str, ServiceWindow] = {
+            kind: ServiceWindow(config.hedge_window) for kind in ("read", "write", "scomp")
         }
         self.latencies_ns: List[float] = []
         self.submitted = 0
@@ -330,16 +361,12 @@ class FleetRouter:
         window = self._windows[kind]
         if len(window) < HEDGE_WARMUP_SAMPLES:
             return None
-        samples = list(window)
         # Clamp the trigger at 1.5x the rolling median: a straggler device
         # pollutes the upper quantiles of its own window, and an unclamped
         # p95 would rise until the straggler's commands no longer qualify
         # for hedging. The median stays anchored to healthy service, and
         # 1.5x is a typical healthy p95/p50 ratio for this service mix.
-        quantile = min(
-            percentile(samples, self.cfg.hedge_quantile),
-            1.5 * percentile(samples, 50.0),
-        )
+        quantile = min(window.percentile(self.cfg.hedge_quantile), 1.5 * window.percentile(50.0))
         return max(self.cfg.hedge_min_delay_ns, quantile)
 
     def _rebuild_estimate_ns(self, cmd: ServeCommand) -> float:

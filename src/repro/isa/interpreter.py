@@ -89,7 +89,11 @@ class Interpreter:
         self.instr_counts: Counter = Counter()
         self.stream_bytes_in = 0
         self.stream_bytes_out = 0
-        self._dispatch: Dict[str, Callable[[Instr, StepInfo], None]] = self._build_dispatch()
+        # Built on the first step(): the handlers are closures over self, a
+        # reference cycle that would keep this interpreter's memory alive
+        # until the cyclic collector runs. Runs driven by the fast engine
+        # never step, so they never build it.
+        self._dispatch: Optional[Dict[str, Callable[[Instr, StepInfo], None]]] = None
 
     # -- public API --------------------------------------------------------------
 
@@ -112,6 +116,8 @@ class Interpreter:
             raise ExecutionError(f"PC {self.pc} outside program of {len(self.program)} instrs")
         instr = self.program.instrs[self.pc]
         info = StepInfo(instr=instr, pc=self.pc, kind=kind_of(instr.op))
+        if self._dispatch is None:
+            self._dispatch = self._build_dispatch()
         handler = self._dispatch.get(instr.op)
         if handler is None:
             raise ExecutionError(f"no handler for opcode {instr.op!r}")

@@ -3,8 +3,15 @@
 A *resource* owns a reservation timeline in integer nanoseconds.  Acquiring
 grants the next free slot in strict call order (FIFO arbitration), exactly
 the greedy discipline the per-component ``free_at_ns`` floats used to
-implement — but with the bookkeeping (busy intervals, counters, trace
-spans) centralised and exact.
+implement — but with the bookkeeping (busy totals, counters, trace spans)
+centralised and exact.
+
+Every lane keeps a free-at pointer plus busy-time and grant tallies
+(:class:`_Lane`).  Only :class:`FifoResource` also keeps its busy
+*intervals* (:class:`_Timeline`): backfilling idle gaps and
+:meth:`FifoResource.busy_within` need to know where in time the busy set
+lies.  :class:`PooledResource` lanes (flash planes, stream cores) are only
+ever asked for totals, so they record no intervals.
 
 Busy intervals are kept **coalesced**: a grant that starts exactly where
 the previous one ended extends it in place, so a saturated bus stores one
@@ -31,31 +38,55 @@ class Grant(NamedTuple):
     unit: int = 0
 
 
-class _Timeline:
-    """One FIFO reservation lane: free-at pointer plus coalesced intervals."""
+class _Lane:
+    """One FIFO reservation lane: free-at pointer plus busy/grant tallies."""
 
-    __slots__ = ("free_at_ns", "busy_ns", "grants", "_starts", "_intervals")
+    __slots__ = ("free_at_ns", "busy_ns", "grants")
 
     def __init__(self) -> None:
         self.free_at_ns: int = 0
         self.busy_ns: int = 0
         self.grants: int = 0
-        self._starts: List[int] = []
-        self._intervals: List[Tuple[int, int]] = []
 
-    def reserve(self, ready_ns: int, duration_ns: int) -> Grant:
-        start = max(ready_ns, self.free_at_ns)
+    def reserve(self, ready_ns: int, duration_ns: int, unit: int = 0) -> Grant:
+        free_at = self.free_at_ns
+        start = ready_ns if ready_ns > free_at else free_at
         done = start + duration_ns
         self.free_at_ns = done
         self.busy_ns += duration_ns
         self.grants += 1
+        return Grant(start, done, unit)
+
+    def occupy(self, start_ns: int, done_ns: int, busy_ns: Optional[int] = None) -> None:
+        """Record an explicitly timed occupancy (start may precede free_at)."""
+        self.free_at_ns = max(self.free_at_ns, done_ns)
+        self.busy_ns += (done_ns - start_ns) if busy_ns is None else busy_ns
+        self.grants += 1
+
+    def reset(self) -> None:
+        self.free_at_ns = 0
+
+
+class _Timeline(_Lane):
+    """A :class:`_Lane` that also keeps its coalesced busy intervals."""
+
+    __slots__ = ("_starts", "_intervals")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._starts: List[int] = []
+        self._intervals: List[Tuple[int, int]] = []
+
+    def reserve(self, ready_ns: int, duration_ns: int) -> Grant:
+        grant = _Lane.reserve(self, ready_ns, duration_ns)
         if duration_ns > 0:
+            start, done, _ = grant
             if self._intervals and self._intervals[-1][1] == start:
                 self._intervals[-1] = (self._intervals[-1][0], done)
             else:
                 self._starts.append(start)
                 self._intervals.append((start, done))
-        return Grant(start, done)
+        return grant
 
     def reserve_backfill(self, ready_ns: int, duration_ns: int) -> Grant:
         """Reserve the *earliest* idle slot >= ``ready_ns`` that fits.
@@ -105,12 +136,6 @@ class _Timeline:
             self._intervals.insert(at, (start, done))
             self._starts.insert(at, start)
 
-    def occupy(self, start_ns: int, done_ns: int, busy_ns: Optional[int] = None) -> None:
-        """Record an explicitly timed occupancy (start may precede free_at)."""
-        self.free_at_ns = max(self.free_at_ns, done_ns)
-        self.busy_ns += (done_ns - start_ns) if busy_ns is None else busy_ns
-        self.grants += 1
-
     def busy_within(self, until_ns: int) -> int:
         """Exact busy overlap with ``[0, until_ns]``."""
         if until_ns <= 0:
@@ -124,7 +149,7 @@ class _Timeline:
         return total
 
     def reset(self) -> None:
-        self.free_at_ns = 0
+        _Lane.reset(self)
         self._starts.clear()
         self._intervals.clear()
 
@@ -183,9 +208,9 @@ class FifoResource:
         if self._busy_counter is not None:
             self._busy_counter.inc(grant.done_ns - grant.start_ns)
             self._grant_counter.inc()
-        self._tracer.complete(
-            self.name, label or self._trace_label, grant.start_ns, grant.done_ns
-        )
+            self._tracer.complete(
+                self.name, label or self._trace_label, grant.start_ns, grant.done_ns
+            )
         return grant
 
     def occupy(self, start_ns, done_ns, busy_ns=None) -> None:
@@ -230,7 +255,7 @@ class PooledResource:
         if units <= 0:
             raise ValueError(f"pooled resource {name} needs at least one unit")
         self.name = name
-        self._lanes = [_Timeline() for _ in range(units)]
+        self._lanes = [_Lane() for _ in range(units)]
         if telemetry is None:
             from repro.telemetry.tracer import NULL_TRACER
 
@@ -265,14 +290,14 @@ class PooledResource:
         if duration_ns < 0:
             raise ValueError(f"negative duration {duration_ns} on {self.name}")
         index = self.least_loaded() if unit is None else unit
-        grant = self._lanes[index].reserve(as_ns(ready_ns), as_ns(duration_ns))
+        grant = self._lanes[index].reserve(as_ns(ready_ns), as_ns(duration_ns), index)
         if self._busy_counter is not None:
             self._busy_counter.inc(grant.done_ns - grant.start_ns)
         if label is not None:
             self._tracer.complete(
                 f"{self.name}/{index}", label, grant.start_ns, grant.done_ns
             )
-        return Grant(grant.start_ns, grant.done_ns, index)
+        return grant
 
     def occupy(self, unit: int, start_ns, done_ns, busy_ns=None) -> None:
         """Record an explicitly timed occupancy on ``unit``.

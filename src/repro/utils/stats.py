@@ -29,9 +29,16 @@ def percentile(values: Sequence[float], pct: float) -> float:
         raise ValueError("percentile of empty sequence")
     if not 0.0 < pct <= 100.0:
         raise ValueError(f"percentile must be in (0, 100], got {pct}")
-    ordered = sorted(float(v) for v in values)
-    rank = math.ceil(pct / 100.0 * len(ordered))
-    return ordered[rank - 1]
+    return nearest_rank(sorted(float(v) for v in values), pct)
+
+
+def nearest_rank(ordered: Sequence[float], pct: float) -> float:
+    """:func:`percentile` of an already sorted, non-empty sequence.
+
+    No validation and no sort: for callers that keep their samples ordered
+    and query them often (the fleet router's hedge trigger).
+    """
+    return ordered[math.ceil(pct / 100.0 * len(ordered)) - 1]
 
 
 def weighted_mean(values: Sequence[float], weights: Sequence[float]) -> float:
